@@ -11,14 +11,8 @@ import argparse
 
 import numpy as np
 
-from seplab.hilbert import Operator, identity, tensor_op
+from seplab.hilbert import haar_projector, identity, tensor_op
 from seplab.separation import construct_witness, separation_verdict, witness_joint
-
-
-def haar_projector(dim: int, rank: int, rng: np.random.Generator) -> Operator:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, _ = np.linalg.qr(g)
-    return Operator(q[:, :rank] @ q[:, :rank].conj().T)
 
 
 def main() -> None:

@@ -125,8 +125,9 @@ def expectation(psi: StateVector, A: Operator, B: Operator) -> float:
 
 class QuantumCoincidenceModel(CoincidenceModel):
     """Coincidence experiment on a two-qubit state with spin settings given
-    as angles in the z-x plane; exact distributions come from the Born rule
-    on the joint PVM, per-trial sampling from the measurement module."""
+    as angles in the z-x plane; exact distributions come from the joint
+    measurement's probability table, per-trial sampling from the measurement
+    module."""
 
     def __init__(
         self,
@@ -155,11 +156,11 @@ class QuantumCoincidenceModel(CoincidenceModel):
 
     def exact_distribution(self, i: int, j: int) -> Distribution:
         joint = self._joints[(i, j)]
-        table: Distribution = {}
-        for x, y in joint.couples:
-            key = (int(round(x.value)), int(round(y.value)))
-            table[key] = joint.probability(self.psi, x, y)
-        return table
+        table = joint.probability_table(self.psi)
+        return {
+            (int(round(x.value)), int(round(y.value))): table[(x.label, y.label)]
+            for x, y in joint.couples
+        }
 
     def sample(self, i: int, j: int, rng: np.random.Generator) -> Pair:
         joint = self._joints[(i, j)]

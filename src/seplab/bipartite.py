@@ -5,6 +5,15 @@ space; couple outcomes (x, y) get the product projector P_x Q_y.  The tensor
 constructor embeds factor PVMs as P (x) 1 and 1 (x) Q, which makes the
 commutation automatic, but any commuting pair of same-space PVMs works via
 ``commuting_joint``.
+
+Born probabilities are computed by contraction, never through a dense couple
+projector or a lifted PVM.  In tensor form the state is reshaped row-major
+into the dim_a x dim_b matrix Psi (component k = i * dim_b + j becomes
+Psi[i, j]), so that (P (x) Q) psi is the row-major flattening of P Psi Q^T and
+
+    P(x, y) = ||P_x Psi Q_y^T||_F^2.
+
+In commuting form the PVMs act on psi itself: P(x, y) = ||P_x (Q_y psi)||^2.
 """
 
 from __future__ import annotations
@@ -60,7 +69,9 @@ class JointMeasurement:
     ``pvm_a`` and ``pvm_b`` are the factor PVMs when built through
     ``joint_measurement`` (``space`` set), or same-space commuting PVMs when
     built through ``commuting_joint`` (``space`` is None).  ``side_a`` and
-    ``side_b`` always act on the full space.
+    ``side_b`` are the same PVMs acting on the full space; Born probabilities
+    (``probability``, ``probability_table``, ``marginals``) contract the state
+    with the factor projectors and never build them.
     """
 
     pvm_a: Pvm
@@ -79,7 +90,7 @@ class JointMeasurement:
     def dim(self) -> int:
         return self.space.dim if self.space else self.pvm_a.dim
 
-    @property
+    @cached_property
     def couples(self) -> tuple[tuple[Outcome, Outcome], ...]:
         return tuple((x, y) for x in self.pvm_a.outcomes for y in self.pvm_b.outcomes)
 
@@ -93,16 +104,59 @@ class JointMeasurement:
         pb = measurement.coarse_projector(self.side_b, subset_b).entries
         return Operator(pa @ pb)
 
-    def probability(self, psi: StateVector, x: OutcomeLike, y: OutcomeLike) -> float:
+    @cached_property
+    def _stack_a(self) -> np.ndarray:
+        """Side-A projectors stacked on axis 0."""
+        return np.stack([p.entries for p in self.pvm_a.projectors])
+
+    @cached_property
+    def _stack_b(self) -> np.ndarray:
+        """Side-B projectors stacked on axis 0, transposed in tensor form so
+        that ``Psi @ _stack_b`` applies every Q_y at once."""
+        q = np.stack([p.entries for p in self.pvm_b.projectors])
+        return q.transpose(0, 2, 1) if self.space else q
+
+    def _matrix(self, psi: StateVector) -> np.ndarray:
+        """The state as the matrix both sides act on: Psi in tensor form, the
+        column psi in commuting form."""
         if psi.dim != self.dim:
             raise DimensionMismatch(f"state dim {psi.dim}, joint dim {self.dim}")
-        v = self.projector(x, y).entries @ psi.amplitudes
-        return float(np.real(np.vdot(v, v)))
+        if self.space:
+            return psi.amplitudes.reshape(self.space.dim_a, self.space.dim_b)
+        return psi.amplitudes.reshape(self.dim, 1)
+
+    def _apply_b(self, m: np.ndarray) -> np.ndarray:
+        """Q_y applied to ``m`` for every y: Psi Q_y^T or Q_y psi."""
+        return m @ self._stack_b if self.space else self._stack_b @ m
+
+    def _table(self, psi: StateVector) -> np.ndarray:
+        """||P_x (Q_y applied to the state)||^2 as a (side A, side B) array."""
+        return _squared_norms(self._stack_a[:, None] @ self._apply_b(self._matrix(psi)))
+
+    def probability(self, psi: StateVector, x: OutcomeLike, y: OutcomeLike) -> float:
+        i, j = self.pvm_a.outcomes.index(x), self.pvm_b.outcomes.index(y)
+        return float(self._table(psi)[i, j])
 
     def probability_table(self, psi: StateVector) -> dict[tuple[str, str], float]:
-        return {
-            (x.label, y.label): self.probability(psi, x, y) for x, y in self.couples
-        }
+        """Born probability of every couple, keyed by labels in ``couples``
+        order: ||P_x Psi Q_y^T||_F^2 in tensor form, with Psi the row-major
+        dim_a x dim_b reshape of psi, and ||P_x (Q_y psi)||^2 in commuting
+        form."""
+        values = self._table(psi).ravel().tolist()
+        return {(x.label, y.label): p for (x, y), p in zip(self.couples, values)}
+
+    def marginals(self, psi: StateVector) -> tuple[dict[str, float], dict[str, float]]:
+        """Per-side Born probabilities keyed by outcome label:
+        ||P_x Psi||_F^2 and ||Psi Q_y^T||_F^2 in tensor form (Psi as in
+        ``probability_table``), ||P_x psi||^2 and ||Q_y psi||^2 in commuting
+        form."""
+        m = self._matrix(psi)
+        probs_a = _squared_norms(self._stack_a @ m).tolist()
+        probs_b = _squared_norms(self._apply_b(m)).tolist()
+        return (
+            dict(zip(self.pvm_a.outcomes.labels, probs_a)),
+            dict(zip(self.pvm_b.outcomes.labels, probs_b)),
+        )
 
     def as_pvm(self) -> Pvm:
         """Flatten into one PVM over couple outcomes labeled ``x|y``; the Pvm
@@ -112,6 +166,12 @@ class JointMeasurement:
         )
         projectors = tuple(self.projector(x, y) for x, y in self.couples)
         return Pvm(outcomes, projectors)
+
+
+def _squared_norms(v: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms over the last two axes.  The float view puts
+    each entry's real and imaginary parts side by side on the last axis."""
+    return np.square(np.ascontiguousarray(v).view(np.float64)).sum(axis=(-2, -1))
 
 
 def joint_measurement(m_a: Pvm, m_b: Pvm) -> JointMeasurement:

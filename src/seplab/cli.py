@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, bell, classical_models, measurement, product_test
 from .bipartite import BipartiteSpace, schmidt
 from .errors import ConfigError, IoError, ScenarioError, SeplabError
-from .hilbert import Operator, StateVector, identity, tensor_op
+from .hilbert import Operator, StateVector, haar_projector, identity, tensor_op
 from .separation import construct_witness, no_cloning_witness, separation_verdict, witness_joint
 
 SCHEMA_VERSION = 1
@@ -236,19 +236,12 @@ def _basis_projector(dim: int, rank: int) -> Operator:
     return Operator(m)
 
 
-def _random_projector(dim: int, rank: int, rng: np.random.Generator) -> Operator:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, _ = np.linalg.qr(g)
-    block = q[:, :rank]
-    return Operator(block @ block.conj().T)
-
-
 def _run_aerts(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, Any]:
     p = config.params
     da, db = p["dim_a"], p["dim_b"]
     if p["random_pair"]:
-        proj_a = _random_projector(da, p["rank_a"], rng)
-        proj_b = _random_projector(db, p["rank_b"], rng)
+        proj_a = haar_projector(da, p["rank_a"], rng)
+        proj_b = haar_projector(db, p["rank_b"], rng)
     else:
         proj_a = _basis_projector(da, p["rank_a"])
         proj_b = _basis_projector(db, p["rank_b"])

@@ -126,14 +126,20 @@ def identity(dim: int) -> Operator:
     return Operator(np.eye(dim, dtype=complex))
 
 
-def zero_operator(dim: int) -> Operator:
-    return Operator(np.zeros((dim, dim), dtype=complex))
-
-
 def projector_onto(v: StateVector) -> Operator:
     """Rank-1 projector |v><v| (v is normalized first)."""
     u = normalize(v).amplitudes
     return Operator(np.outer(u, u.conj()))
+
+
+def haar_projector(dim: int, rank: int, rng: np.random.Generator) -> Operator:
+    """Haar-random rank-``rank`` projector: the span of the first ``rank``
+    columns of the QR factor of a complex Gaussian matrix.  Draws the real
+    parts, then the imaginary parts, from ``rng``."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(g)
+    block = q[:, :rank]
+    return Operator(block @ block.conj().T)
 
 
 SIGMA_X = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
@@ -166,13 +172,6 @@ def apply(O: Operator, v: StateVector) -> StateVector:
 
 def adjoint(O: Operator) -> Operator:
     return Operator(O.entries.conj().T)
-
-
-def compose(A: Operator, B: Operator) -> Operator:
-    """Operator product AB."""
-    if A.dim != B.dim:
-        raise DimensionMismatch(f"dims {A.dim} and {B.dim}")
-    return Operator(A.entries @ B.entries)
 
 
 def tensor_vec(a: StateVector, b: StateVector) -> StateVector:

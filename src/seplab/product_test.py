@@ -262,25 +262,28 @@ def epr_protocol(
         pvm = pvm_from_operator(QUBIT_OBSERVABLES[name])
         side_b = embed_right(pvm, space)
         side_a = embed_left(pvm, space)
-        b_probs = measurement.all_probabilities(side_b, psi)
+        b_probs = list(measurement.all_probabilities(side_b, psi))
         branches = []
         for k, outcome_b in enumerate(side_b.outcomes):
             if b_probs[k] <= 1e-12:
+                # Skipped branches get no weight, so the draw never lands on one.
+                b_probs[k] = 0.0
                 branches.append(None)
                 continue
             post = measurement.collapse(side_b, psi, outcome_b)
             cond = measurement.all_probabilities(side_a, post)
             predicted = int(np.argmax(cond))
             branches.append((cond, predicted, float(cond[predicted])))
-        plans.append((name, b_probs, branches))
+        last = max(k for k, branch in enumerate(branches) if branch is not None)
+        plans.append((name, b_probs, branches, last))
 
     hits = 0
     per_obs = {name: {"trials": 0, "hits": 0} for name in observables}
     min_confidence = 1.0
     for _ in range(trials):
-        name, b_probs, branches = plans[int(rng.integers(len(plans)))]
+        name, b_probs, branches, last = plans[int(rng.integers(len(plans)))]
         u = rng.random() * sum(b_probs)
-        acc, pick = 0.0, len(b_probs) - 1
+        acc, pick = 0.0, last
         for k, p in enumerate(b_probs):
             acc += p
             if u < acc:

@@ -23,7 +23,7 @@ import numpy as np
 from .bipartite import JointMeasurement, commuting_joint
 from .errors import DimensionMismatch, EmptySubspace, NonCommuting
 from .hilbert import Operator, StateVector, commutator_norm
-from .measurement import POSSIBILITY_TOL, binary_pvm, possible_outcomes
+from .measurement import POSSIBILITY_TOL, binary_pvm
 
 WITNESS_TOL = 1e-10
 
@@ -194,8 +194,11 @@ def separation_verdict(
     possible above ``tol``."""
     if psi.dim != joint.dim:
         raise DimensionMismatch(f"state dim {psi.dim}, joint dim {joint.dim}")
-    poss_a = tuple(o.label for o in possible_outcomes(joint.side_a, psi, tol))
-    poss_b = tuple(o.label for o in possible_outcomes(joint.side_b, psi, tol))
+    marg_a, marg_b = joint.marginals(psi)
+    poss_a = tuple(x for x, p in marg_a.items() if p > tol)
+    poss_b = tuple(y for y, p in marg_b.items() if p > tol)
+    if not poss_a or not poss_b:
+        raise ValueError("no possible outcome: is the state normalized?")
     table = joint.probability_table(psi)
     missing = tuple(
         (x, y) for x in poss_a for y in poss_b if table[(x, y)] <= tol

@@ -125,3 +125,30 @@ def schmidt_coefficients_2x2(psi: np.ndarray) -> list[float]:
     gram = m @ m.conj().T
     values = [v for v, _ in eig2_hermitian(gram)]
     return sorted((math.sqrt(max(v, 0.0)) for v in values), reverse=True)
+
+
+def dense_joint_table(projs_a, projs_b, psi: np.ndarray, tensor: bool) -> np.ndarray:
+    """Joint Born table from dense couple projectors: P_x (x) Q_y by
+    ``np.kron`` when ``tensor``, else the product P_x Q_y of same-space
+    projectors, applied to psi by matmul, then the squared norm."""
+    table = np.zeros((len(projs_a), len(projs_b)))
+    for i, p in enumerate(projs_a):
+        for j, q in enumerate(projs_b):
+            couple = np.kron(p, q) if tensor else p @ q
+            v = couple @ psi
+            table[i, j] = float(np.vdot(v, v).real)
+    return table
+
+
+def dense_marginals(projs_a, projs_b, psi: np.ndarray, tensor: bool) -> tuple[list[float], list[float]]:
+    """Per-side Born probabilities from the lifted projectors P_x (x) 1 and
+    1 (x) Q_y (``tensor``) or from the same-space projectors themselves."""
+    if tensor:
+        eye_a = np.eye(projs_a[0].shape[0])
+        eye_b = np.eye(projs_b[0].shape[0])
+        projs_a = [np.kron(p, eye_b) for p in projs_a]
+        projs_b = [np.kron(eye_a, q) for q in projs_b]
+    return (
+        [float(np.linalg.norm(p @ psi) ** 2) for p in projs_a],
+        [float(np.linalg.norm(q @ psi) ** 2) for q in projs_b],
+    )

@@ -23,6 +23,7 @@ from seplab.hilbert import (
     Operator,
     StateVector,
     basis_vector,
+    haar_projector,
     identity,
     projector_onto,
     tensor_op,
@@ -78,14 +79,8 @@ def _tensor_pair(rng):
     d_b = int(rng.integers(2, 5))
     r_a = int(rng.integers(1, d_a))
     r_b = int(rng.integers(1, d_b))
-
-    def haar_projector(dim, rank):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        q, _ = np.linalg.qr(g)
-        return Operator(q[:, :rank] @ q[:, :rank].conj().T)
-
-    p_a = tensor_op(haar_projector(d_a, r_a), identity(d_b))
-    p_b = tensor_op(identity(d_a), haar_projector(d_b, r_b))
+    p_a = tensor_op(haar_projector(d_a, r_a, rng), identity(d_b))
+    p_b = tensor_op(identity(d_a), haar_projector(d_b, r_b, rng))
     return p_a, p_b
 
 

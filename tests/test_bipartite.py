@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_hermitian, random_state, schmidt_coefficients_2x2
+from oracles import (
+    dense_joint_table,
+    dense_marginals,
+    random_hermitian,
+    random_state,
+    schmidt_coefficients_2x2,
+)
 from seplab.bipartite import (
     BipartiteSpace,
     commuting_joint,
@@ -23,9 +29,13 @@ from seplab.hilbert import (
     StateVector,
     basis_vector,
     commutator_norm,
+    haar_projector,
+    identity,
+    tensor_op,
     tensor_vec,
 )
 from seplab.measurement import born_probability, coarse_projector, pvm_from_operator
+from seplab.separation import separation_verdict, witness_joint
 
 Z_PVM = pvm_from_operator(SIGMA_Z)
 X_PVM = pvm_from_operator(SIGMA_X)
@@ -185,3 +195,108 @@ def test_product_states_factorize(seed):
         for y in mb.outcomes:
             expected = born_probability(ma, phi_a, x) * born_probability(mb, phi_b, y)
             assert joint.probability(psi, x, y) == pytest.approx(expected, abs=1e-10)
+
+
+# Factor dimensions with dim_a * dim_b <= 64, trivial factors included.
+FACTOR_DIMS = tuple((da, db) for da in range(1, 65) for db in range(1, 64 // da + 1))
+
+
+def _unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.linalg.qr(g)[0]
+
+
+def _observable(basis: np.ndarray, levels: int | None, rng: np.random.Generator) -> Operator:
+    """Hermitian operator diagonal in ``basis`` with ``levels`` distinct
+    eigenvalues at least 0.5 apart (None: every eigenvalue distinct)."""
+    dim = basis.shape[0]
+    count = dim if levels is None else min(levels, dim)
+    values = np.arange(count) + 0.5 * rng.random(count)
+    spectrum = np.concatenate([values, values[rng.integers(0, count, size=dim - count)]])
+    return Operator((basis * spectrum) @ basis.conj().T)
+
+
+def _assert_matches_dense(joint, psi: np.ndarray, tensor: bool) -> None:
+    state = StateVector(psi)
+    projs_a = [p.entries for p in joint.pvm_a.projectors]
+    projs_b = [q.entries for q in joint.pvm_b.projectors]
+    expected = dense_joint_table(projs_a, projs_b, psi, tensor)
+    table = joint.probability_table(state)
+    assert list(table) == [(x.label, y.label) for x, y in joint.couples]
+    np.testing.assert_allclose(
+        np.array(list(table.values())).reshape(expected.shape), expected, rtol=0, atol=1e-12
+    )
+    for i, x in enumerate(joint.pvm_a.outcomes):
+        for j, y in enumerate(joint.pvm_b.outcomes):
+            assert abs(joint.probability(state, x, y) - expected[i, j]) <= 1e-12
+    marg_a, marg_b = joint.marginals(state)
+    exp_a, exp_b = dense_marginals(projs_a, projs_b, psi, tensor)
+    assert tuple(marg_a) == joint.pvm_a.outcomes.labels
+    assert tuple(marg_b) == joint.pvm_b.outcomes.labels
+    np.testing.assert_allclose(list(marg_a.values()), exp_a, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(list(marg_b.values()), exp_b, rtol=0, atol=1e-12)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    dims=st.sampled_from(FACTOR_DIMS),
+    levels=st.sampled_from((None, 1, 2, 3)),
+)
+@settings(max_examples=60, deadline=None)
+def test_tensor_joint_matches_dense_oracle(seed, dims, levels):
+    rng = np.random.default_rng(seed)
+    da, db = dims
+    ma = pvm_from_operator(_observable(_unitary(da, rng), levels, rng))
+    mb = pvm_from_operator(_observable(_unitary(db, rng), levels, rng))
+    _assert_matches_dense(joint_measurement(ma, mb), random_state(da * db, rng), tensor=True)
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    dim=st.integers(1, 64),
+    levels=st.sampled_from((2, 3, 8)),  # 8 levels: non-degenerate up to dim 8
+)
+@settings(max_examples=40, deadline=None)
+def test_commuting_joint_matches_dense_oracle(seed, dim, levels):
+    rng = np.random.default_rng(seed)
+    basis = _unitary(dim, rng)
+    psi = random_state(dim, rng)
+    # binary witness joints on projectors diagonal in one common basis
+    mask_a = rng.integers(0, 2, size=dim).astype(bool)
+    mask_b = rng.integers(0, 2, size=dim).astype(bool)
+    p_a = Operator(basis[:, mask_a] @ basis[:, mask_a].conj().T)
+    p_b = Operator(basis[:, mask_b] @ basis[:, mask_b].conj().T)
+    _assert_matches_dense(witness_joint(p_a, p_b), psi, tensor=False)
+    # many-outcome PVMs of two observables sharing that eigenbasis
+    ma = pvm_from_operator(_observable(basis, levels, rng))
+    mb = pvm_from_operator(_observable(basis, levels, rng))
+    _assert_matches_dense(commuting_joint(ma, mb), psi, tensor=False)
+
+
+@given(seed=st.integers(0, 10_000), dims=st.sampled_from(FACTOR_DIMS[1:]))
+@settings(max_examples=20, deadline=None)
+def test_witness_joint_on_tensor_embedded_projectors_matches_dense_oracle(seed, dims):
+    rng = np.random.default_rng(seed)
+    da, db = dims
+    p_a = tensor_op(haar_projector(da, max(1, da // 2), rng), identity(db))
+    p_b = tensor_op(identity(da), haar_projector(db, max(1, db // 2), rng))
+    _assert_matches_dense(witness_joint(p_a, p_b), random_state(da * db, rng), tensor=False)
+
+
+def test_table_and_verdict_never_lift_the_factor_pvms():
+    joint = joint_measurement(Z_PVM, X_PVM)
+    psi = two_qubit([0.5, 0.5j, -0.5, 0.5])
+    joint.probability_table(psi)
+    separation_verdict(joint, psi)
+    assert "side_a" not in joint.__dict__
+    assert "side_b" not in joint.__dict__
+
+
+def test_contraction_rejects_a_state_of_the_wrong_dimension():
+    joint = joint_measurement(Z_PVM, X_PVM)
+    psi = StateVector(np.ones(3) / math.sqrt(3))
+    for call in (joint.probability_table, joint.marginals):
+        with pytest.raises(DimensionMismatch):
+            call(psi)
+    with pytest.raises(DimensionMismatch):
+        joint.probability(psi, "+1", "+1")

@@ -146,3 +146,21 @@ def test_epr_reproducible_for_fixed_seed():
     a = epr_protocol(ZERO_ZERO, ("Z", "X"), 500, np.random.default_rng(31))
     b = epr_protocol(ZERO_ZERO, ("Z", "X"), 500, np.random.default_rng(31))
     assert a == b
+
+
+def test_epr_draw_skips_negligible_b_branch():
+    class LowRng:
+        """Always draws the bottom of every range, where the Z PVM puts the
+        B outcome -1, whose branch here carries probability 1e-13."""
+
+        def integers(self, n):
+            return 0
+
+        def random(self):
+            return 0.0
+
+    tiny = 1e-13
+    psi = StateVector(np.array([math.sqrt(1.0 - tiny), math.sqrt(tiny), 0, 0]))
+    report = epr_protocol(psi, ("Z",), trials=3, rng=LowRng())
+    assert report.trials == 3
+    assert report.hit_rate == 1.0

@@ -113,6 +113,12 @@ def test_verdict_on_product_eigenstate():
     assert verdict.missing_couples == ()
 
 
+def test_verdict_rejects_a_state_with_no_possible_outcome():
+    joint = joint_measurement(pvm_from_operator(SIGMA_Z), pvm_from_operator(SIGMA_Z))
+    with pytest.raises(ValueError, match="no possible outcome"):
+        separation_verdict(joint, StateVector(np.zeros(4)))
+
+
 def test_verdict_probability_oracle_agreement():
     # independent path: joint probabilities from a loop-built Kronecker matrix
     rng = np.random.default_rng(4)
