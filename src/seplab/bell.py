@@ -1,9 +1,14 @@
 """Correlation functions and CHSH evaluation over coincidence experiments.
 
 A coincidence experiment is anything with two stations, a finite list of
-settings per station, and +/-1 outcomes per trial; quantum states and the
-classical models implement one common interface so the same CHSH evaluator
-demarcates them.  The sign convention is fixed project-wide:
+settings per station, and +/-1 outcomes per trial.  Every model, quantum
+state or macroscopic classical experiment, is given by one thing: its exact
+joint distribution over the four outcome pairs for each setting pair.  The
+exact CHSH value, the sampled CHSH value and the no-signalling residual are
+all read from those tables, so one evaluator demarcates every model and one
+sampler serves them all: the counts of n i.i.d. outcome pairs are a single
+multinomial draw from the cell's table.  The sign convention is fixed
+project-wide:
 
     S = E(1,1) + E(1,2) + E(2,1) - E(2,2)
 
@@ -22,11 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import measurement
 from .bipartite import joint_measurement
 from .errors import BadSpectrum, DimensionMismatch, MissingDistribution, NotHermitian
 from .hilbert import SIGMA_X, SIGMA_Z, Operator, StateVector, tensor_op
-from .measurement import Pvm, pvm_from_operator
+from .measurement import pvm_from_operator
 
 CHSH_CONVENTION = "S = E(1,1) + E(1,2) + E(2,1) - E(2,2)"
 CLASSICAL_BOUND = 2.0
@@ -41,29 +45,30 @@ Pair = tuple[int, int]
 Distribution = dict[Pair, float]
 
 _OUTCOME_PAIRS: tuple[Pair, ...] = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+_PAIR_PRODUCTS = np.array([a * b for a, b in _OUTCOME_PAIRS])
 
 
 class CoincidenceModel:
     """Two-station experiment: setting pair in, (+/-1, +/-1) out.
 
-    Subclasses must implement ``sample``; those with a closed-form joint
-    distribution also override ``exact_distribution`` (a probability table
-    over the four outcome pairs).  ``sample_many`` may be overridden with a
-    vectorized draw; the default loops over ``sample``.
+    A model is its table: ``exact_distribution(i, j)`` gives the probability
+    of each outcome pair for setting pair (i, j); a pair it leaves out has
+    probability 0.  A model without a table returns None, and every CHSH
+    evaluation of it raises ``MissingDistribution``.
     """
 
     settings_a: Sequence[object] = ()
     settings_b: Sequence[object] = ()
 
-    def sample(self, i: int, j: int, rng: np.random.Generator) -> Pair:
-        raise NotImplementedError
-
     def exact_distribution(self, i: int, j: int) -> Distribution | None:
         return None
 
-    def sample_many(self, i: int, j: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n outcome pairs as an (n, 2) int array."""
-        return np.array([self.sample(i, j, rng) for _ in range(n)], dtype=int)
+
+def _table(model: CoincidenceModel, i: int, j: int) -> Distribution:
+    dist = model.exact_distribution(i, j)
+    if dist is None:
+        raise MissingDistribution(f"no exact distribution for cell ({i}, {j})")
+    return dist
 
 
 @dataclass(frozen=True)
@@ -125,9 +130,8 @@ def expectation(psi: StateVector, A: Operator, B: Operator) -> float:
 
 class QuantumCoincidenceModel(CoincidenceModel):
     """Coincidence experiment on a two-qubit state with spin settings given
-    as angles in the z-x plane; exact distributions come from the joint
-    measurement's probability table, per-trial sampling from the measurement
-    module."""
+    as angles in the z-x plane; each cell's table is the joint measurement's
+    Born probability table."""
 
     def __init__(
         self,
@@ -140,19 +144,13 @@ class QuantumCoincidenceModel(CoincidenceModel):
         self.psi = psi
         self.settings_a = tuple(float(t) for t in settings_a)
         self.settings_b = tuple(float(t) for t in settings_b)
-        self._pvms_a = [pvm_from_operator(spin_observable(t)) for t in self.settings_a]
-        self._pvms_b = [pvm_from_operator(spin_observable(t)) for t in self.settings_b]
+        pvms_a = [pvm_from_operator(spin_observable(t)) for t in self.settings_a]
+        pvms_b = [pvm_from_operator(spin_observable(t)) for t in self.settings_b]
         self._joints = {
             (i, j): joint_measurement(ma, mb)
-            for i, ma in enumerate(self._pvms_a)
-            for j, mb in enumerate(self._pvms_b)
+            for i, ma in enumerate(pvms_a)
+            for j, mb in enumerate(pvms_b)
         }
-
-    def pvm_a(self, i: int) -> Pvm:
-        return self._pvms_a[i]
-
-    def pvm_b(self, j: int) -> Pvm:
-        return self._pvms_b[j]
 
     def exact_distribution(self, i: int, j: int) -> Distribution:
         joint = self._joints[(i, j)]
@@ -161,19 +159,6 @@ class QuantumCoincidenceModel(CoincidenceModel):
             (int(round(x.value)), int(round(y.value))): table[(x.label, y.label)]
             for x, y in joint.couples
         }
-
-    def sample(self, i: int, j: int, rng: np.random.Generator) -> Pair:
-        joint = self._joints[(i, j)]
-        x, post = measurement.sample(joint.side_a, self.psi, rng)
-        y, _ = measurement.sample(joint.side_b, post, rng)
-        return int(round(x.value)), int(round(y.value))
-
-    def sample_many(self, i: int, j: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        dist = self.exact_distribution(i, j)
-        probs = np.array([max(dist[p], 0.0) for p in _OUTCOME_PAIRS])
-        probs = probs / probs.sum()
-        picks = rng.choice(len(_OUTCOME_PAIRS), size=n, p=probs)
-        return np.array(_OUTCOME_PAIRS, dtype=int)[picks]
 
 
 def quantum_coincidence_model(
@@ -196,13 +181,10 @@ def correlation_from_distribution(dist: Distribution) -> float:
 def chsh_exact(model: CoincidenceModel) -> ChshReport:
     """CHSH from the model's exact joint distributions."""
     _require_2x2(model)
-    e = [[0.0, 0.0], [0.0, 0.0]]
-    for i in range(2):
-        for j in range(2):
-            dist = model.exact_distribution(i, j)
-            if dist is None:
-                raise MissingDistribution(f"no exact distribution for cell ({i}, {j})")
-            e[i][j] = correlation_from_distribution(dist)
+    e = [
+        [correlation_from_distribution(_table(model, i, j)) for j in range(2)]
+        for i in range(2)
+    ]
     e_table = (tuple(e[0]), tuple(e[1]))
     return ChshReport(e_table=e_table, s=chsh_combination(e))
 
@@ -210,10 +192,14 @@ def chsh_exact(model: CoincidenceModel) -> ChshReport:
 def chsh_sampled(model: CoincidenceModel, n: int, rng: np.random.Generator) -> ChshReport:
     """CHSH from n Monte Carlo trials per cell.
 
-    Each cell gets its own child generator (spawned in row-major cell order),
-    so estimates do not depend on evaluation order and the whole report is
-    deterministic given the parent generator's seed.  Per-cell standard error
-    is sqrt((1 - E^2)/n).
+    A cell's n trials are i.i.d. draws from its exact table, so their
+    outcome-pair counts are one multinomial draw: cost and memory do not
+    depend on n.  Table entries are clipped at 0 and renormalized, which
+    absorbs rounding-level negatives.  Each cell gets its own child generator
+    (spawned in row-major cell order), so estimates do not depend on
+    evaluation order and the whole report is deterministic given the parent
+    generator's seed.  E = (n++ + n-- - n+- - n-+)/n, and the per-cell
+    standard error is sqrt((1 - E^2)/n).
     """
     if n < 1:
         raise ValueError("need at least one sample per cell")
@@ -223,9 +209,10 @@ def chsh_sampled(model: CoincidenceModel, n: int, rng: np.random.Generator) -> C
     se = [[0.0, 0.0], [0.0, 0.0]]
     for i in range(2):
         for j in range(2):
-            pairs = model.sample_many(i, j, n, streams[2 * i + j])
-            products = pairs[:, 0] * pairs[:, 1]
-            est = float(products.mean())
+            dist = _table(model, i, j)
+            probs = np.array([max(dist.get(pair, 0.0), 0.0) for pair in _OUTCOME_PAIRS])
+            counts = streams[2 * i + j].multinomial(n, probs / probs.sum())
+            est = int(counts @ _PAIR_PRODUCTS) / n
             e[i][j] = est
             se[i][j] = math.sqrt(max(1.0 - est * est, 0.0) / n)
     return ChshReport(
@@ -241,13 +228,7 @@ def no_signaling_residual(model: CoincidenceModel) -> float:
     changes, computed from the exact distributions."""
     rows = range(len(model.settings_a))
     cols = range(len(model.settings_b))
-    tables: dict[Pair, Distribution] = {}
-    for i in rows:
-        for j in cols:
-            dist = model.exact_distribution(i, j)
-            if dist is None:
-                raise MissingDistribution(f"no exact distribution for cell ({i}, {j})")
-            tables[(i, j)] = dist
+    tables = {(i, j): _table(model, i, j) for i in rows for j in cols}
 
     def marg_a(i: int, j: int, a: int) -> float:
         return sum(p for (x, _), p in tables[(i, j)].items() if x == a)

@@ -1,5 +1,11 @@
 """Three macroscopic coincidence experiments with exactly enumerable tables.
 
+Each model is given by its exact joint distribution per setting pair (see
+``bell.CoincidenceModel``); the mechanisms below are what those tables
+enumerate.  Sampled CHSH draws from the tables, and the test suite keeps an
+independent sampler of each mechanism (``tests/oracles.py``) that is checked
+against them.
+
 Exploding rock.  A rock at rest splits into two equal fragments flying apart
 with opposite momenta.  The shared hidden variable is the direction lambda of
 fragment A's momentum, uniform on the circle; a station at analyzer angle
@@ -23,20 +29,19 @@ total.  Each station either consults a reference gauge (R, deterministically
 When both siphon, the water splits V_A = 20u (u uniform), V_B = 20 - V_A, so
 exactly one side passes the threshold and E(S,S) = -1; a lone siphon drains
 all 20 L and reports +1.  With settings ordered (R, S) the table is
-[[1, 1], [1, -1]] and S = 4.  An exact 10/10 split has probability zero;
-floating-point ties resolve to (-1, -1) since the comparison is strict.
-Note the model is signalling by construction: a siphoning station's marginal
-depends on whether the partner station also siphons (the tube is a real
-physical channel between the stations).
+[[1, 1], [1, -1]] and S = 4.  An exact 10/10 split has probability zero, so
+the table gives (-1, -1) no weight, although a sampled split landing on it
+exactly would fail the strict threshold on both sides.  Note the model is
+signalling by construction: a siphoning station's marginal depends on whether
+the partner station also siphons (the tube is a real physical channel
+between the stations).
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .bell import CoincidenceModel, Distribution, Pair
+from .bell import CoincidenceModel, Distribution
 
 TOTAL_VOLUME = 20.0
 VOLUME_THRESHOLD = 10.0
@@ -60,22 +65,6 @@ class RockModel(CoincidenceModel):
         self.settings_a = tuple(float(t) for t in settings_a)
         self.settings_b = tuple(float(t) for t in settings_b)
 
-    @staticmethod
-    def responses(theta_a: float, theta_b: float, lam: float) -> Pair:
-        a = 1 if math.cos(theta_a - lam) > 0.0 else -1
-        b = 1 if math.cos(theta_b - (lam + math.pi)) > 0.0 else -1
-        return a, b
-
-    def sample(self, i: int, j: int, rng: np.random.Generator) -> Pair:
-        lam = rng.uniform(0.0, 2.0 * math.pi)
-        return self.responses(self.settings_a[i], self.settings_b[j], lam)
-
-    def sample_many(self, i: int, j: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        lam = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        a = np.where(np.cos(self.settings_a[i] - lam) > 0.0, 1, -1)
-        b = np.where(np.cos(self.settings_b[j] - (lam + math.pi)) > 0.0, 1, -1)
-        return np.column_stack([a, b])
-
     def exact_distribution(self, i: int, j: int) -> Distribution:
         e = rock_expectation(self.settings_a[i], self.settings_b[j])
         same = (1.0 + e) / 4.0
@@ -89,20 +78,8 @@ class RodDiceModel(CoincidenceModel):
     settings_a = ("mode-1", "mode-2")
     settings_b = ("mode-1", "mode-2")
 
-    def _anti(self, i: int, j: int) -> bool:
-        return i == 1 and j == 1
-
-    def sample(self, i: int, j: int, rng: np.random.Generator) -> Pair:
-        a = 1 if rng.random() < 0.5 else -1
-        return (a, -a) if self._anti(i, j) else (a, a)
-
-    def sample_many(self, i: int, j: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        a = np.where(rng.random(n) < 0.5, 1, -1)
-        b = -a if self._anti(i, j) else a
-        return np.column_stack([a, b])
-
     def exact_distribution(self, i: int, j: int) -> Distribution:
-        if self._anti(i, j):
+        if i == 1 and j == 1:
             return {(+1, -1): 0.5, (-1, +1): 0.5, (+1, +1): 0.0, (-1, -1): 0.0}
         return {(+1, +1): 0.5, (-1, -1): 0.5, (+1, -1): 0.0, (-1, +1): 0.0}
 
@@ -114,26 +91,10 @@ class ConnectedVesselsModel(CoincidenceModel):
     settings_a = ("reference", "siphon")
     settings_b = ("reference", "siphon")
 
-    def sample(self, i: int, j: int, rng: np.random.Generator) -> Pair:
-        if i == 1 and j == 1:
-            va = TOTAL_VOLUME * rng.random()
-            a = 1 if va > VOLUME_THRESHOLD else -1
-            b = 1 if TOTAL_VOLUME - va > VOLUME_THRESHOLD else -1
-            return a, b
-        # any lone siphon drains the full 20 L, so every branch reports +1
-        return 1, 1
-
-    def sample_many(self, i: int, j: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        if i == 1 and j == 1:
-            va = TOTAL_VOLUME * rng.random(n)
-            a = np.where(va > VOLUME_THRESHOLD, 1, -1)
-            b = np.where(TOTAL_VOLUME - va > VOLUME_THRESHOLD, 1, -1)
-            return np.column_stack([a, b])
-        return np.ones((n, 2), dtype=int)
-
     def exact_distribution(self, i: int, j: int) -> Distribution:
         if i == 1 and j == 1:
             return {(+1, -1): 0.5, (-1, +1): 0.5, (+1, +1): 0.0, (-1, -1): 0.0}
+        # any lone siphon drains the full 20 L, so every branch reports +1
         return {(+1, +1): 1.0, (+1, -1): 0.0, (-1, +1): 0.0, (-1, -1): 0.0}
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, bell, classical_models, measurement, product_test
 from .bipartite import BipartiteSpace, schmidt
 from .errors import ConfigError, IoError, ScenarioError, SeplabError
-from .hilbert import Operator, StateVector, haar_projector, identity, tensor_op
+from .hilbert import DIM_CAP, Operator, StateVector, haar_projector, identity, tensor_op
 from .separation import construct_witness, no_cloning_witness, separation_verdict, witness_joint
 
 SCHEMA_VERSION = 1
@@ -150,8 +150,8 @@ def build_config(
         samples = int(samples) if samples is not None else 10_000
     except (TypeError, ValueError):
         raise ConfigError(f"samples must be an integer, got {samples!r}") from None
-    if samples < 1:
-        raise ConfigError("samples must be a positive integer")
+    if not 1 <= samples < 2**63:
+        raise ConfigError("samples must be a positive integer below 2**63")
     _validate_params(scenario, resolved)
     return ScenarioConfig(scenario, seed, samples, resolved)
 
@@ -191,14 +191,24 @@ def _validate_params(scenario: str, p: dict[str, Any]) -> None:
             raise ConfigError(f"parameter {key!r} must be a list of angles") from None
         if len(p[key]) != 2:
             raise ConfigError(f"parameter {key!r} needs exactly 2 angles")
+        if not all(math.isfinite(x) for x in p[key]):
+            raise ConfigError(f"parameter {key!r} must hold finite angles")
 
     if scenario == "aerts":
         da, db = positive_int("dim_a"), positive_int("dim_b")
         ra, rb = positive_int("rank_a"), positive_int("rank_b")
         if ra >= da or rb >= db:
             raise ConfigError("rank_a/rank_b must be strictly below dim_a/dim_b")
-        p["random_pair"] = bool(p["random_pair"])
-        p["tol"] = float(p["tol"])
+        if da * db > DIM_CAP:
+            raise ConfigError(f"dim_a * dim_b must be at most {DIM_CAP}")
+        if not isinstance(p["random_pair"], bool):
+            raise ConfigError("parameter 'random_pair' must be true or false")
+        try:
+            p["tol"] = float(p["tol"])
+        except (TypeError, ValueError):
+            raise ConfigError("parameter 'tol' must be a number") from None
+        if not (math.isfinite(p["tol"]) and p["tol"] >= 0.0):
+            raise ConfigError("parameter 'tol' must be finite and >= 0")
     elif scenario in ("chsh", "models"):
         angle_list("angles_a")
         angle_list("angles_b")

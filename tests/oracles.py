@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the package's own code paths: the 2x2
 eigensolver is closed-form, the Kronecker product is explicit loops, the
-rock correlation comes from arc-intersection geometry, and the hidden
-variable CHSH bound comes from brute-force enumeration.
+rock correlation comes from arc-intersection geometry, the hidden
+variable CHSH bound comes from brute-force enumeration, and the macroscopic
+models are sampled by simulating their physical mechanisms rather than by
+drawing from the package's tables.
 """
 
 from __future__ import annotations
@@ -85,6 +87,57 @@ def rock_correlation_by_grid(theta_a: float, theta_b: float, n: int = 200_000) -
     a = np.where(np.cos(theta_a - lam) > 0, 1, -1)
     b = np.where(np.cos(theta_b - (lam + math.pi)) > 0, 1, -1)
     return float((a * b).mean())
+
+
+def rock_pairs(theta_a: float, theta_b: float, n: int, rng) -> np.ndarray:
+    """n exploding-rock trials as an (n, 2) array of +/-1: fragment A flies
+    along a uniform hidden angle lambda, fragment B along lambda + pi, and a
+    station fires +1 when its fragment moves into its analyzer's half-plane."""
+    lam = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    a = np.where(np.cos(theta_a - lam) > 0.0, 1, -1)
+    b = np.where(np.cos(theta_b - (lam + math.pi)) > 0.0, 1, -1)
+    return np.column_stack([a, b])
+
+
+def rod_dice_pairs(anti: bool, n: int, rng) -> np.ndarray:
+    """n rod-connected dice readouts: one fair coin per trial read by both
+    stations, with B's sign flipped when ``anti``."""
+    a = np.where(rng.random(n) < 0.5, 1, -1)
+    return np.column_stack([a, -a if anti else a])
+
+
+VESSELS_LITRES = 20.0
+VESSELS_THRESHOLD_LITRES = 10.0
+
+
+def vessels_pairs(siphon_a: bool, siphon_b: bool, n: int, rng) -> np.ndarray:
+    """n connected-vessels trials.  A reference gauge reads +1; a lone siphon
+    drains all 20 L and reads +1; two siphons split the water V_A = 20u,
+    V_B = 20 - V_A and each reads +1 iff it holds strictly more than 10 L."""
+    if not (siphon_a and siphon_b):
+        return np.ones((n, 2), dtype=int)
+    va = VESSELS_LITRES * rng.random(n)
+    a = np.where(va > VESSELS_THRESHOLD_LITRES, 1, -1)
+    b = np.where(VESSELS_LITRES - va > VESSELS_THRESHOLD_LITRES, 1, -1)
+    return np.column_stack([a, b])
+
+
+ROCK_ANGLES_A = (0.0, math.pi / 2)
+ROCK_ANGLES_B = (math.pi / 4, -math.pi / 4)
+
+
+def mechanism_pairs(model: str, i: int, j: int, n: int, rng) -> np.ndarray:
+    """n trials of setting pair (i, j) of a macroscopic model at its default
+    settings: "rock" (analyzer angles A (0, pi/2), B (pi/4, -pi/4)),
+    "rod-dice" (opposite signs on the second-second pair) or "vessels"
+    (setting 0 the reference gauge, setting 1 the siphon)."""
+    if model == "rock":
+        return rock_pairs(ROCK_ANGLES_A[i], ROCK_ANGLES_B[j], n, rng)
+    if model == "rod-dice":
+        return rod_dice_pairs(i == 1 and j == 1, n, rng)
+    if model == "vessels":
+        return vessels_pairs(i == 1, j == 1, n, rng)
+    raise ValueError(f"unknown model {model!r}")
 
 
 def lhv_chsh_from_table(a_responses: np.ndarray, b_responses: np.ndarray, weights: np.ndarray) -> float:

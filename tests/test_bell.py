@@ -82,11 +82,33 @@ def test_chsh_exact_needs_distributions():
         settings_a = (0, 1)
         settings_b = (0, 1)
 
-        def sample(self, i, j, rng):
-            return (1, 1)
-
     with pytest.raises(MissingDistribution):
         chsh_exact(NoTable())
+    with pytest.raises(MissingDistribution):
+        chsh_sampled(NoTable(), 10, np.random.default_rng(0))
+    with pytest.raises(MissingDistribution):
+        no_signaling_residual(NoTable())
+
+
+def test_model_with_only_a_table_is_sampled():
+    table = {(+1, +1): 0.4, (+1, -1): 0.1, (-1, +1): 0.2, (-1, -1): 0.3}
+
+    class TableOnly(bell.CoincidenceModel):
+        settings_a = ("x", "y")
+        settings_b = ("x", "y")
+
+        def exact_distribution(self, i, j):
+            return table
+
+    n = 40_000
+    report = chsh_sampled(TableOnly(), n, np.random.default_rng(12))
+    assert report.samples_per_cell == n
+    e_exact = 0.4 + 0.3 - 0.1 - 0.2
+    sigma = math.sqrt((1 - e_exact**2) / n)
+    for row, se_row in zip(report.e_table, report.stderr):
+        for e, se in zip(row, se_row):
+            assert abs(e - e_exact) < 5 * sigma
+            assert se == pytest.approx(math.sqrt((1 - e * e) / n), rel=1e-12)
 
 
 def test_chsh_needs_two_settings_per_side():
@@ -209,3 +231,27 @@ def test_sampled_cells_track_exact_within_error_budget():
                 checks += 1
                 ok += int(abs(sampled.e_table[i][j] - exact.e_table[i][j]) < 4 * se)
     assert ok / checks >= 0.99
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    angles=st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=4, max_size=4),
+    # counts are one multinomial draw per cell, so even 2e9 trials per cell
+    # need no per-trial memory
+    n=st.integers(1_000, 2_000_000_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_sampled_cells_within_five_sigma_of_exact_and_seeded(seed, angles, n):
+    psi = StateVector(random_state(4, np.random.default_rng(seed)))
+    model = quantum_coincidence_model(psi, angles[:2], angles[2:])
+    exact = chsh_exact(model)
+    sampled = chsh_sampled(model, n, np.random.default_rng(seed))
+    for i in range(2):
+        for j in range(2):
+            e = exact.e_table[i][j]
+            sigma = math.sqrt(max(1.0 - e * e, 0.0) / n)
+            assert abs(sampled.e_table[i][j] - e) <= 5 * sigma + 1e-12
+    again = chsh_sampled(model, n, np.random.default_rng(seed))
+    assert again.e_table == sampled.e_table
+    assert again.stderr == sampled.stderr
+

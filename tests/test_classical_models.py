@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rock_correlation_by_arcs, rock_correlation_by_grid
+from oracles import (
+    mechanism_pairs,
+    rock_correlation_by_arcs,
+    rock_correlation_by_grid,
+    rock_pairs,
+    vessels_pairs,
+)
 from seplab.bell import chsh_exact, chsh_sampled, correlation_from_distribution, no_signaling_residual
 from seplab.classical_models import (
     TOTAL_VOLUME,
     VOLUME_THRESHOLD,
     ConnectedVesselsModel,
-    RockModel,
     rock_expectation,
     rock_model,
     rod_dice_model,
@@ -38,9 +43,8 @@ def test_rock_expectation_matches_quadrature_and_monte_carlo():
     for ta, tb in [(0.2, 1.5), (3.0, 0.4), (5.9, 2.2)]:
         closed = rock_expectation(ta, tb)
         assert closed == pytest.approx(rock_correlation_by_grid(ta, tb), abs=2e-4)
-        model = RockModel((ta,), (tb,))
         n = 40_000
-        pairs = model.sample_many(0, 0, n, np.random.default_rng(8))
+        pairs = rock_pairs(ta, tb, n, np.random.default_rng(8))
         est = float((pairs[:, 0] * pairs[:, 1]).mean())
         stderr = math.sqrt(max(1 - est * est, 1e-6) / n)
         assert abs(est - closed) < 4 * stderr
@@ -125,13 +129,12 @@ def test_vessels_tie_splits_to_minus_minus():
         def random(self, n=None):
             return 0.5 if n is None else np.full(n, 0.5)
 
-    a, b = vessels_model().sample(1, 1, HalfRng())
+    [(a, b)] = vessels_pairs(True, True, 1, HalfRng())
     assert (a, b) == (-1, -1)  # exactly 10 L each: strict threshold fails both
 
 
 def test_vessels_siphon_siphon_splits_exactly_one_winner():
-    model = vessels_model()
-    pairs = model.sample_many(1, 1, 5_000, np.random.default_rng(2))
+    pairs = vessels_pairs(True, True, 5_000, np.random.default_rng(2))
     assert set(map(tuple, pairs)) <= {(1, -1), (-1, 1)}
     frac_plus = float((pairs[:, 0] == 1).mean())
     assert abs(frac_plus - 0.5) < 4 * math.sqrt(0.25 / 5_000)
@@ -146,32 +149,24 @@ def test_vessels_marginals_shift_under_lone_siphon():
 
 
 @pytest.mark.parametrize(
-    "factory", [rock_model, rod_dice_model, vessels_model], ids=["rock", "dice", "vessels"]
+    "factory, mechanism",
+    [(rock_model, "rock"), (rod_dice_model, "rod-dice"), (vessels_model, "vessels")],
+    ids=["rock", "dice", "vessels"],
 )
-def test_sampled_frequencies_match_exact_tables(factory):
+def test_sampled_frequencies_match_exact_tables(factory, mechanism):
+    # the oracle simulates the physical mechanism; the table must agree with
+    # it entry by entry
     model = factory()
     n = 20_000
     rng = np.random.default_rng(13)
     for i in range(2):
         for j in range(2):
-            pairs = model.sample_many(i, j, n, rng)
+            pairs = mechanism_pairs(mechanism, i, j, n, rng)
             dist = model.exact_distribution(i, j)
             for (a, b), p in dist.items():
                 freq = float(((pairs[:, 0] == a) & (pairs[:, 1] == b)).mean())
                 stderr = math.sqrt(max(p * (1 - p), 1e-9) / n)
                 assert abs(freq - p) < 4 * stderr + 1e-12
-
-
-def test_per_trial_sampling_agrees_with_vectorized_path():
-    for factory in (rock_model, rod_dice_model, vessels_model):
-        model = factory()
-        rng = np.random.default_rng(3)
-        singles = np.array([model.sample(1, 1, rng) for _ in range(2_000)])
-        blocks = model.sample_many(1, 1, 2_000, np.random.default_rng(4))
-        for data in (singles, blocks):
-            products = data[:, 0] * data[:, 1]
-            exact = correlation_from_distribution(model.exact_distribution(1, 1))
-            assert abs(float(products.mean()) - exact) < 0.1
 
 
 def test_volume_constants():

@@ -208,3 +208,49 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["chsh", "--what"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("scenario", ["chsh", "models"])
+def test_non_finite_angles_exit_2(scenario, bad, capsys):
+    assert cli.main([scenario, f"--angles-a=0,{bad}"]) == 2
+    assert "angles_a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["chsh"], ["models", "--model", "all"]])
+def test_huge_samples_run_without_per_trial_memory(argv, tmp_path):
+    out = tmp_path / "r.json"
+    samples = 2_000_000_000
+    assert cli.main(argv + ["--samples", str(samples), "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    blocks = [results] if argv == ["chsh"] else list(results.values())
+    assert len(blocks) == (1 if argv == ["chsh"] else 3)
+    assert all(block["samples_per_cell"] == samples for block in blocks)
+
+
+def test_samples_beyond_64_bits_rejected():
+    with pytest.raises(ConfigError, match="samples"):
+        build_config("chsh", samples=2**63)
+    assert build_config("chsh", samples=2**63 - 1).samples == 2**63 - 1
+
+
+def test_aerts_random_pair_must_be_a_bool(tmp_path, capsys):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(
+        json.dumps({"scenario": "aerts", "params": {"random_pair": "false"}})
+    )
+    assert cli.main(["aerts", "--config", str(config_path)]) == 2
+    assert "random_pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_aerts_tol_must_be_finite_and_non_negative(tol, capsys):
+    assert cli.main(["aerts", f"--tol={tol}"]) == 2
+    assert "tol" in capsys.readouterr().err
+
+
+def test_aerts_dimension_product_capped(tmp_path, capsys):
+    assert cli.main(["aerts", "--dim-a", "9", "--dim-b", "9"]) == 2
+    assert "dim_a * dim_b" in capsys.readouterr().err
+    out = tmp_path / "r.json"
+    assert cli.main(["aerts", "--dim-a", "8", "--dim-b", "8", "--out", str(out)]) == 0
