@@ -31,32 +31,6 @@ from .separation import construct_witness, no_cloning_witness, separation_verdic
 SCHEMA_VERSION = 1
 SEED_ENV_VAR = "SEPLAB_SEED"
 
-SCENARIOS = ("aerts", "chsh", "models", "product-test", "epr", "no-cloning")
-
-_DEFAULT_PARAMS: dict[str, dict[str, Any]] = {
-    "aerts": {
-        "dim_a": 2,
-        "dim_b": 2,
-        "rank_a": 1,
-        "rank_b": 1,
-        "random_pair": False,
-        "tol": measurement.POSSIBILITY_TOL,
-    },
-    "chsh": {
-        "state": "singlet",
-        "angles_a": list(bell.DEFAULT_ANGLES_A),
-        "angles_b": list(bell.DEFAULT_ANGLES_B),
-    },
-    "models": {
-        "model": "all",
-        "angles_a": list(bell.DEFAULT_ANGLES_A),
-        "angles_b": list(bell.DEFAULT_ANGLES_B),
-    },
-    "product-test": {"entity": "all"},
-    "epr": {"state": "singlet", "observables": ["Z", "X"]},
-    "no-cloning": {"state_a": "zero", "state_b": "plus"},
-}
-
 _MODEL_NAMES = ("rock", "rod-dice", "vessels")
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -73,12 +47,8 @@ NAMED_STATES: dict[str, list[complex]] = {
     "product": [1, 0, 0, 0],
 }
 
-TWO_QUBIT_STATES = ("singlet", "psi-plus", "phi-plus", "product")
-
 
 def named_state(name: str) -> StateVector:
-    if name not in NAMED_STATES:
-        raise ConfigError(f"unknown state name {name!r} (known: {sorted(NAMED_STATES)})")
     return StateVector(np.array(NAMED_STATES[name], dtype=complex))
 
 
@@ -117,42 +87,165 @@ class Report:
         }
 
 
+@dataclass(frozen=True)
+class Param:
+    """One configurable value, declared once.  Its kind fixes the JSON type it
+    accepts, the check it must pass and the command-line flag that sets it:
+
+    - ``int``: a JSON integer >= ``lo``, and below 2**``bits`` when set;
+    - ``float``: a finite JSON number >= 0;
+    - ``bool``: a JSON boolean, set by a flag that takes no value;
+    - ``choice``: one of ``choices``;
+    - ``angles``: a list of exactly 2 finite JSON numbers (radians);
+    - ``subset``: a non-empty list of ``choices``.
+
+    The flag is ``--`` plus the name with ``_`` turned into ``-``; a list
+    flag takes its elements comma-separated.
+    """
+
+    name: str
+    kind: str
+    default: Any
+    help: str
+    choices: tuple[str, ...] = ()
+    lo: int = 1
+    bits: int | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def expected(self) -> str:
+        if self.kind == "int":
+            return f"an integer >= {self.lo}" + (f" and below 2**{self.bits}" if self.bits else "")
+        return {
+            "float": "a finite number >= 0",
+            "bool": "true or false",
+            "choice": f"one of {self.choices}",
+            "angles": "a list of exactly 2 finite angles",
+            "subset": f"a non-empty list of {self.choices}",
+        }[self.kind]
+
+
+SEED = Param("seed", "int", 0, "RNG seed (64-bit unsigned)", lo=0, bits=64)
+SAMPLES = Param("samples", "int", 10_000, "samples / trials per run", bits=63)
+
+_STATE = Param("state", "choice", "singlet", "named two-qubit state",
+               ("singlet", "psi-plus", "phi-plus", "product"))
+_ANGLES_A = Param("angles_a", "angles", bell.DEFAULT_ANGLES_A, "comma-separated pair, radians")
+_ANGLES_B = Param("angles_b", "angles", bell.DEFAULT_ANGLES_B, "comma-separated pair, radians")
+
+PARAMS: dict[str, tuple[Param, ...]] = {
+    "aerts": (
+        Param("dim_a", "int", 2, "dimension of side A"),
+        Param("dim_b", "int", 2, "dimension of side B"),
+        Param("rank_a", "int", 1, "rank of the side A projector, below dim_a"),
+        Param("rank_b", "int", 1, "rank of the side B projector, below dim_b"),
+        Param("random_pair", "bool", False, "Haar-random projectors instead of basis ones"),
+        Param("tol", "float", measurement.POSSIBILITY_TOL, "possibility threshold of the verdict"),
+    ),
+    "chsh": (_STATE, _ANGLES_A, _ANGLES_B),
+    "models": (
+        Param("model", "choice", "all", "macroscopic model", (*_MODEL_NAMES, "all")),
+        _ANGLES_A,
+        _ANGLES_B,
+    ),
+    "product-test": (
+        Param("entity", "choice", "all", "corpus entity", (*product_test.ENTITY_CORPUS, "all")),
+    ),
+    "epr": (
+        _STATE,
+        Param("observables", "subset", ("Z", "X"), "comma-separated subset of Z,X,Y",
+              tuple(product_test.QUBIT_OBSERVABLES)),
+    ),
+    "no-cloning": (
+        Param("state_a", "choice", "zero", "named state", tuple(NAMED_STATES)),
+        Param("state_b", "choice", "plus", "named state", tuple(NAMED_STATES)),
+    ),
+}
+
+SCENARIOS = tuple(PARAMS)
+
+
+def _finite(value: Any) -> float | None:
+    """``value`` as a float when it is a finite JSON number, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _check(param: Param, value: Any) -> Any:
+    """Return ``value`` in canonical form, or raise a ConfigError naming the
+    field.  Nothing is coerced: a float is no integer and a string no list."""
+    kind, ok = param.kind, False
+    if kind == "int":
+        ok = type(value) is int and param.lo <= value
+        ok = ok and (param.bits is None or value < 2**param.bits)
+    elif kind == "float":
+        value = _finite(value)
+        ok = value is not None and value >= 0.0
+    elif kind == "bool":
+        ok = isinstance(value, bool)
+    elif kind == "choice":
+        ok = isinstance(value, str) and value in param.choices
+    elif isinstance(value, (list, tuple)):
+        if kind == "angles":
+            value = [_finite(x) for x in value]
+            ok = len(value) == 2 and None not in value
+        else:
+            value = list(value)
+            ok = bool(value) and all(isinstance(x, str) and x in param.choices for x in value)
+    if not ok:
+        raise ConfigError(f"{param.name!r} must be {param.expected()}")
+    return value
+
+
+def _check_aerts(p: dict[str, Any]) -> None:
+    """The two aerts checks that involve more than one parameter."""
+    if p["rank_a"] >= p["dim_a"] or p["rank_b"] >= p["dim_b"]:
+        raise ConfigError("rank_a/rank_b must be strictly below dim_a/dim_b")
+    if p["dim_a"] * p["dim_b"] > DIM_CAP:
+        raise ConfigError(f"dim_a * dim_b must be at most {DIM_CAP}")
+
+
 def build_config(
     scenario: str,
     seed: int | None = None,
     samples: int | None = None,
     params: dict[str, Any] | None = None,
 ) -> ScenarioConfig:
-    """Validate and resolve a configuration against the scenario defaults.
+    """Validate and resolve a configuration against the scenario's spec.
 
+    ``None`` means the default (for ``seed``: ``$SEPLAB_SEED``, else 0).
     Unknown parameter names are rejected (the error names the field), so a
     resolved config round-trips through ``to_dict``/``config_from_dict``
     unchanged.
     """
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r} (known: {SCENARIOS})")
-    if params is not None and not isinstance(params, dict):
+    if params is None:
+        params = {}
+    if not isinstance(params, dict):
         raise ConfigError("'params' must be an object of parameter values")
-    resolved = dict(_DEFAULT_PARAMS[scenario])
-    for key, value in (params or {}).items():
-        if key not in resolved:
+    spec = {param.name: param for param in PARAMS[scenario]}
+    for key in params:
+        if key not in spec:
             raise ConfigError(f"unknown parameter {key!r} for scenario {scenario!r}")
-        resolved[key] = value
-    if seed is None:
-        seed = os.environ.get(SEED_ENV_VAR) or 0
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError):
-        raise ConfigError(f"seed must be an integer, got {seed!r}") from None
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed must fit in an unsigned 64-bit integer")
-    try:
-        samples = int(samples) if samples is not None else 10_000
-    except (TypeError, ValueError):
-        raise ConfigError(f"samples must be an integer, got {samples!r}") from None
-    if not 1 <= samples < 2**63:
-        raise ConfigError("samples must be a positive integer below 2**63")
-    _validate_params(scenario, resolved)
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    if seed is None and env_seed:
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"{SEED_ENV_VAR} must hold an integer seed") from None
+    seed = _check(SEED, SEED.default if seed is None else seed)
+    samples = _check(SAMPLES, SAMPLES.default if samples is None else samples)
+    resolved = {name: _check(p, params.get(name, p.default)) for name, p in spec.items()}
+    if scenario == "aerts":
+        _check_aerts(resolved)
     return ScenarioConfig(scenario, seed, samples, resolved)
 
 
@@ -161,8 +254,9 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown config field(s) {sorted(unknown)}")
-    if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {doc.get('schema_version')}")
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {version!r}")
     if "scenario" not in doc:
         raise ConfigError("config is missing the 'scenario' field")
     return build_config(
@@ -171,69 +265,6 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
         samples=doc.get("samples"),
         params=doc.get("params"),
     )
-
-
-def _validate_params(scenario: str, p: dict[str, Any]) -> None:
-    def positive_int(key: str) -> int:
-        try:
-            v = int(p[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"parameter {key!r} must be an integer") from None
-        if v < 1:
-            raise ConfigError(f"parameter {key!r} must be >= 1")
-        p[key] = v
-        return v
-
-    def angle_list(key: str) -> None:
-        try:
-            p[key] = [float(x) for x in p[key]]
-        except (TypeError, ValueError):
-            raise ConfigError(f"parameter {key!r} must be a list of angles") from None
-        if len(p[key]) != 2:
-            raise ConfigError(f"parameter {key!r} needs exactly 2 angles")
-        if not all(math.isfinite(x) for x in p[key]):
-            raise ConfigError(f"parameter {key!r} must hold finite angles")
-
-    if scenario == "aerts":
-        da, db = positive_int("dim_a"), positive_int("dim_b")
-        ra, rb = positive_int("rank_a"), positive_int("rank_b")
-        if ra >= da or rb >= db:
-            raise ConfigError("rank_a/rank_b must be strictly below dim_a/dim_b")
-        if da * db > DIM_CAP:
-            raise ConfigError(f"dim_a * dim_b must be at most {DIM_CAP}")
-        if not isinstance(p["random_pair"], bool):
-            raise ConfigError("parameter 'random_pair' must be true or false")
-        try:
-            p["tol"] = float(p["tol"])
-        except (TypeError, ValueError):
-            raise ConfigError("parameter 'tol' must be a number") from None
-        if not (math.isfinite(p["tol"]) and p["tol"] >= 0.0):
-            raise ConfigError("parameter 'tol' must be finite and >= 0")
-    elif scenario in ("chsh", "models"):
-        angle_list("angles_a")
-        angle_list("angles_b")
-        if scenario == "chsh" and p["state"] not in TWO_QUBIT_STATES:
-            raise ConfigError(f"parameter 'state' must be one of {TWO_QUBIT_STATES}")
-        if scenario == "models" and p["model"] not in _MODEL_NAMES + ("all",):
-            raise ConfigError(f"parameter 'model' must be one of {_MODEL_NAMES + ('all',)}")
-    elif scenario == "product-test":
-        known = tuple(product_test.ENTITY_CORPUS) + ("all",)
-        if p["entity"] not in known:
-            raise ConfigError(f"parameter 'entity' must be one of {known}")
-    elif scenario == "epr":
-        if p["state"] not in TWO_QUBIT_STATES:
-            raise ConfigError(f"parameter 'state' must be one of {TWO_QUBIT_STATES}")
-        names = list(p["observables"])
-        if not names or any(n not in product_test.QUBIT_OBSERVABLES for n in names):
-            raise ConfigError(
-                f"parameter 'observables' must be a non-empty subset of "
-                f"{sorted(product_test.QUBIT_OBSERVABLES)}"
-            )
-        p["observables"] = names
-    elif scenario == "no-cloning":
-        for key in ("state_a", "state_b"):
-            if p[key] not in NAMED_STATES:
-                raise ConfigError(f"parameter {key!r} must be one of {sorted(NAMED_STATES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +278,7 @@ def _basis_projector(dim: int, rank: int) -> Operator:
 
 
 def _run_aerts(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, Any]:
+    """Build and verify a non-separability witness."""
     p = config.params
     da, db = p["dim_a"], p["dim_b"]
     if p["random_pair"]:
@@ -309,6 +341,7 @@ def _bound_line(s: float) -> str:
 
 
 def _run_chsh(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, Any]:
+    """CHSH for a named two-qubit state."""
     p = config.params
     psi = named_state(p["state"])
     model = bell.quantum_coincidence_model(psi, p["angles_a"], p["angles_b"])
@@ -331,6 +364,7 @@ def _make_model(name: str, params: dict[str, Any]) -> bell.CoincidenceModel:
 
 
 def _run_models(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, Any]:
+    """CHSH for the macroscopic models."""
     chosen = _MODEL_NAMES if config.params["model"] == "all" else (config.params["model"],)
     streams = rng.spawn(len(chosen))
     results: dict[str, Any] = {}
@@ -345,6 +379,7 @@ def _run_models(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, A
 
 
 def _run_product_test(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, Any]:
+    """Meet-property certification corpus."""
     name = config.params["entity"]
     chosen = tuple(product_test.ENTITY_CORPUS) if name == "all" else (name,)
     streams = rng.spawn(len(chosen))
@@ -366,6 +401,7 @@ def _run_product_test(config: ScenarioConfig, rng: np.random.Generator) -> dict[
 
 
 def _run_epr(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, Any]:
+    """Measure-on-B-predict-A protocol."""
     p = config.params
     report = product_test.epr_protocol(
         named_state(p["state"]), p["observables"], config.samples, rng
@@ -382,6 +418,7 @@ def _run_epr(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, Any]
 
 
 def _run_no_cloning(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, Any]:
+    """Cloning obstruction for a state pair."""
     p = config.params
     cert = no_cloning_witness(named_state(p["state_a"]), named_state(p["state_b"]))
     return {
@@ -523,12 +560,20 @@ def _emit_csv(report: Report) -> str:
 # ---------------------------------------------------------------------------
 # command line
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="FILE", help="JSON config file (flags override)")
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed (64-bit unsigned)")
-    sub.add_argument("--samples", type=int, default=None, help="samples / trials per run")
-    sub.add_argument("--format", choices=("json", "text", "csv"), default="json")
-    sub.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
+def _names(text: str) -> list[str]:
+    return [x.strip() for x in text.split(",")]
+
+
+def _flag_options(param: Param) -> dict[str, Any]:
+    if param.kind == "bool":
+        return {"action": "store_true", "default": None}
+    if param.kind == "choice":
+        return {"choices": param.choices}
+    return {"type": {"int": int, "float": float, "angles": _floats, "subset": _names}[param.kind]}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -538,98 +583,47 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"seplab {__version__}")
     subs = parser.add_subparsers(dest="scenario", required=True)
-
-    aerts = subs.add_parser("aerts", help="build and verify a non-separability witness")
-    aerts.add_argument("--dim-a", type=int, dest="dim_a")
-    aerts.add_argument("--dim-b", type=int, dest="dim_b")
-    aerts.add_argument("--rank-a", type=int, dest="rank_a")
-    aerts.add_argument("--rank-b", type=int, dest="rank_b")
-    aerts.add_argument("--random-pair", action="store_true", dest="random_pair", default=None)
-    aerts.add_argument("--tol", type=float, dest="tol")
-
-    chsh = subs.add_parser("chsh", help="CHSH for a named two-qubit state")
-    chsh.add_argument("--state", choices=TWO_QUBIT_STATES)
-    chsh.add_argument("--angles-a", dest="angles_a", help="comma-separated pair, radians")
-    chsh.add_argument("--angles-b", dest="angles_b", help="comma-separated pair, radians")
-
-    models = subs.add_parser("models", help="CHSH for the macroscopic models")
-    models.add_argument("--model", choices=_MODEL_NAMES + ("all",))
-    models.add_argument("--angles-a", dest="angles_a", help="rock analyzer angles")
-    models.add_argument("--angles-b", dest="angles_b", help="rock analyzer angles")
-
-    ptest = subs.add_parser("product-test", help="meet-property certification corpus")
-    ptest.add_argument("--entity", choices=tuple(product_test.ENTITY_CORPUS) + ("all",))
-
-    epr = subs.add_parser("epr", help="measure-on-B-predict-A protocol")
-    epr.add_argument("--state", choices=TWO_QUBIT_STATES)
-    epr.add_argument("--observables", help="comma-separated subset of Z,X,Y")
-
-    nc = subs.add_parser("no-cloning", help="cloning obstruction for a state pair")
-    nc.add_argument("--state-a", dest="state_a", choices=tuple(NAMED_STATES))
-    nc.add_argument("--state-b", dest="state_b", choices=tuple(NAMED_STATES))
-
-    for sub in (aerts, chsh, models, ptest, epr, nc):
-        _add_common(sub)
+    for scenario, params in PARAMS.items():
+        sub = subs.add_parser(scenario, help=_RUNNERS[scenario].__doc__)
+        sub.add_argument("--config", metavar="FILE", help="JSON config file (flags override)")
+        sub.add_argument("--format", choices=("json", "text", "csv"), default="json")
+        sub.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
+        for param in (SEED, SAMPLES, *params):
+            sub.add_argument(param.flag, dest=param.name, help=param.help, **_flag_options(param))
     return parser
 
 
-_PARAM_FLAGS = {
-    "aerts": ("dim_a", "dim_b", "rank_a", "rank_b", "random_pair", "tol"),
-    "chsh": ("state", "angles_a", "angles_b"),
-    "models": ("model", "angles_a", "angles_b"),
-    "product-test": ("entity",),
-    "epr": ("state", "observables"),
-    "no-cloning": ("state_a", "state_b"),
-}
-
-
-def _parse_angles(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"cannot parse angle list {text!r}") from None
-
-
 def config_from_args(args: argparse.Namespace) -> ScenarioConfig:
-    file_doc: dict[str, Any] = {}
+    """Overlay the flags on the config file's document (if any) and validate
+    the result once."""
+    doc: Any = {"scenario": args.scenario}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                file_doc = json.load(fh)
+                doc = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # malformed JSON or UTF-8, deep nesting
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(file_doc, dict):
+        if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
-        base = config_from_dict(file_doc)
-        if base.scenario != args.scenario:
+        if doc.get("scenario", args.scenario) != args.scenario:
             raise ConfigError(
-                f"config file names scenario {base.scenario!r}, "
+                f"config file names scenario {doc['scenario']!r}, "
                 f"command line says {args.scenario!r}"
             )
-        params = dict(base.params)
-        seed: int | None = base.seed
-        samples: int | None = base.samples
-    else:
-        params = {}
-        seed = None
-        samples = None
-
-    for key in _PARAM_FLAGS[args.scenario]:
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        if key in ("angles_a", "angles_b") and isinstance(value, str):
-            value = _parse_angles(value)
-        if key == "observables" and isinstance(value, str):
-            value = [x.strip() for x in value.split(",") if x.strip()]
-        params[key] = value
-    if args.seed is not None:
-        seed = args.seed
-    if args.samples is not None:
-        samples = args.samples
-    return build_config(args.scenario, seed=seed, samples=samples, params=params)
+    flags = {
+        param.name: getattr(args, param.name)
+        for param in PARAMS[args.scenario]
+        if getattr(args, param.name) is not None
+    }
+    params = doc.get("params")
+    if flags and (params is None or isinstance(params, dict)):
+        doc["params"] = {**(params or {}), **flags}
+    for param in (SEED, SAMPLES):
+        if getattr(args, param.name) is not None:
+            doc[param.name] = getattr(args, param.name)
+    return config_from_dict(doc)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -41,6 +41,10 @@ class UnknownTest(SeplabError):
     """Named test is not defined for this entity (or its current state)."""
 
 
+class InvalidArgument(SeplabError, ValueError):
+    """Argument lies outside the range the operation is defined on."""
+
+
 class ConfigError(SeplabError):
     """Scenario configuration is malformed; message names the offending field."""
 

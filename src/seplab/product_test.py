@@ -26,7 +26,7 @@ import numpy as np
 
 from . import measurement
 from .bipartite import BipartiteSpace, embed_left, embed_right
-from .errors import DimensionMismatch, UnknownTest
+from .errors import DimensionMismatch, SeplabError, UnknownTest
 from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, StateVector
 from .measurement import pvm_from_operator
 
@@ -151,8 +151,8 @@ def meet_actual(
         result = product_test(entity.copy(), tests, rng)
         positives += int(result.positive)
     if actual and positives != trials:
-        raise RuntimeError(
-            f"meet certified actual but {trials - positives} trials failed"
+        raise SeplabError(
+            f"corpus bug: {entity.name}: {list(tests)} actual, {trials - positives} trials failed"
         )
     return PropertyCertificate(
         tuple(tests), actual, method="product-test", trials=trials, positives=positives

@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .bipartite import JointMeasurement, commuting_joint
-from .errors import DimensionMismatch, EmptySubspace, NonCommuting
+from .errors import DimensionMismatch, EmptySubspace, InvalidArgument, NonCommuting
 from .hilbert import Operator, StateVector, commutator_norm
 from .measurement import POSSIBILITY_TOL, binary_pvm
 
@@ -198,7 +198,7 @@ def separation_verdict(
     poss_a = tuple(x for x, p in marg_a.items() if p > tol)
     poss_b = tuple(y for y, p in marg_b.items() if p > tol)
     if not poss_a or not poss_b:
-        raise ValueError("no possible outcome: is the state normalized?")
+        raise InvalidArgument(f"no possible outcome above tol={tol:g}: is the state normalized?")
     table = joint.probability_table(psi)
     missing = tuple(
         (x, y) for x in poss_a for y in poss_b if table[(x, y)] <= tol

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seplab import cli
 from seplab.cli import Report, build_config, config_from_dict, emit, run
@@ -249,8 +253,220 @@ def test_aerts_tol_must_be_finite_and_non_negative(tol, capsys):
     assert "tol" in capsys.readouterr().err
 
 
+def test_aerts_tol_above_every_marginal_exits_1(capsys):
+    assert cli.main(["aerts", "--tol", "1.0"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "no possible outcome above tol=1" in err
+
+
 def test_aerts_dimension_product_capped(tmp_path, capsys):
     assert cli.main(["aerts", "--dim-a", "9", "--dim-b", "9"]) == 2
     assert "dim_a * dim_b" in capsys.readouterr().err
     out = tmp_path / "r.json"
     assert cli.main(["aerts", "--dim-a", "8", "--dim-b", "8", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "scenario, field, doc",
+    [
+        ("chsh", "samples", {"samples": 2.7}),
+        ("chsh", "samples", {"samples": True}),
+        ("chsh", "seed", {"seed": 1.9}),
+        ("chsh", "seed", {"seed": "12"}),
+        ("chsh", "angles_a", {"params": {"angles_a": "01"}}),
+        ("epr", "observables", {"params": {"observables": "ZX"}}),
+        ("epr", "observables", {"params": {"observables": [["Z"]]}}),
+        ("aerts", "dim_a", {"params": {"dim_a": 2.9}}),
+    ],
+)
+def test_malformed_config_values_rejected_not_coerced(scenario, field, doc, tmp_path, capsys):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({"scenario": scenario, **doc}))
+    assert cli.main([scenario, "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert field in err
+
+
+@pytest.mark.parametrize(
+    "content", [b"{", b"\xff{}", b"[" * 100_000 + b"]" * 100_000], ids=["truncated", "utf8", "deep"]
+)
+def test_unreadable_config_file_exits_2(content, tmp_path, capsys):
+    config_path = tmp_path / "c.json"
+    config_path.write_bytes(content)
+    assert cli.main(["chsh", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "not valid JSON" in err
+
+
+# A valid non-default value for every spec entry: (flag text, JSON value,
+# the entries it needs set as well).  A flag without text takes no value.
+NON_DEFAULT = {
+    "seed": ("17", 17, ()),
+    "samples": ("65", 65, ()),
+    "dim_a": ("3", 3, ()),
+    "dim_b": ("4", 4, ()),
+    "rank_a": ("2", 2, ("dim_a",)),
+    "rank_b": ("3", 3, ("dim_b",)),
+    "random_pair": (None, True, ()),
+    "tol": ("1e-06", 1e-6, ()),
+    "state": ("phi-plus", "phi-plus", ()),
+    "angles_a": ("0.25,-0.75", [0.25, -0.75], ()),
+    "angles_b": ("1.5,3", [1.5, 3], ()),
+    "model": ("rock", "rock", ()),
+    "entity": ("flaky", "flaky", ()),
+    "observables": ("Y,Z", ["Y", "Z"], ()),
+    "state_a": ("minus", "minus", ()),
+    "state_b": ("one", "one", ()),
+}
+
+
+def _spec(scenario):
+    return {p.name: p for p in (cli.SEED, cli.SAMPLES, *cli.PARAMS[scenario])}
+
+
+@pytest.mark.parametrize(
+    "scenario, name", [(s, name) for s in cli.SCENARIOS for name in _spec(s)]
+)
+def test_flag_and_config_file_give_identical_reports(scenario, name, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    spec = _spec(scenario)
+    text, value, needs = NON_DEFAULT[name]
+    assert json.dumps(value) != json.dumps(spec[name].default)
+    chosen = {"samples": ("64", 64), **{n: NON_DEFAULT[n][:2] for n in needs}, name: (text, value)}
+    argv, doc = [scenario], {"scenario": scenario, "params": {}}
+    for n, (flag_text, json_value) in chosen.items():
+        argv.append(spec[n].flag if flag_text is None else f"{spec[n].flag}={flag_text}")
+        (doc if n in ("seed", "samples") else doc["params"])[n] = json_value
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps(doc))
+    via_flags, via_file = tmp_path / "flags.json", tmp_path / "file.json"
+    assert cli.main(argv + ["--out", str(via_flags)]) == 0
+    assert cli.main([scenario, "--config", str(config_path), "--out", str(via_file)]) == 0
+    assert via_flags.read_bytes() == via_file.read_bytes()
+    config = json.loads(via_file.read_text())["config"]
+    assert (config if name in ("seed", "samples") else config["params"])[name] == value
+
+
+# product-test and epr loop over their trials in Python, so the fuzz keeps
+# their samples small; chsh and models draw counts and take any size.
+SMALL_TRIALS = ("product-test", "epr")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mostly(valid, other):
+    """``valid`` three draws in four, so that many cases get past validation."""
+    return st.integers(0, 3).flatmap(lambda k: other if k == 0 else valid)
+
+
+def _valid(param, scenario):
+    if param.bits:  # seed and samples
+        return st.integers(0, 200 if scenario in SMALL_TRIALS else 2**64)
+    choices = st.sampled_from(param.choices or ("",))
+    return {
+        "int": st.integers(1, 9),
+        "float": st.floats(0.0, 1.0),
+        "bool": st.booleans(),
+        "choice": choices,
+        "angles": st.lists(st.floats(-7.0, 7.0), min_size=2, max_size=2),
+        "subset": st.lists(choices, min_size=1, max_size=4),
+    }[param.kind]
+
+
+def _samples_json(scenario):
+    if scenario in SMALL_TRIALS:  # never a large integer or absent (10,000 trials)
+        return _mostly(_valid(cli.SAMPLES, scenario), json_values.filter(
+            lambda v: v is not None and (type(v) is not int or v <= 200)
+        ))
+    return _mostly(_valid(cli.SAMPLES, scenario), st.integers() | json_values)
+
+
+@st.composite
+def config_documents(draw):
+    scenario = draw(st.sampled_from(cli.SCENARIOS))
+    params = {
+        p.name: draw(_mostly(_valid(p, scenario), json_values))
+        for p in cli.PARAMS[scenario]
+        if draw(st.booleans())
+    }
+    doc = {
+        "scenario": draw(_mostly(st.just(scenario), json_values)),
+        "seed": draw(_mostly(_valid(cli.SEED, scenario), st.integers() | json_values)),
+        "samples": draw(_samples_json(scenario)),
+        "params": draw(_mostly(st.just(params), json_values)),
+        "schema_version": draw(_mostly(st.just(1), json_values)),
+        "extra": draw(json_values),
+    }
+    required = ("scenario", "samples") if scenario in SMALL_TRIALS else ("scenario",)
+    keep = draw(st.lists(st.sampled_from(list(doc)), unique=True))
+    if "extra" in keep and draw(_mostly(st.just(True), st.just(False))):
+        keep.remove("extra")
+    return scenario, {key: doc[key] for key in doc if key in keep or key in required}
+
+
+def _flag_text(param, scenario):
+    join = {"angles": lambda xs: ",".join(map(str, xs)), "subset": ",".join}.get(param.kind, str)
+    return _mostly(_valid(param, scenario).map(join), st.text(max_size=8))
+
+
+def _small(text):
+    try:
+        return int(text) <= 200
+    except ValueError:
+        return True
+
+
+@st.composite
+def argv_lists(draw):
+    scenario = draw(st.sampled_from(cli.SCENARIOS))
+    argv = [scenario]
+    for param in (cli.SEED, cli.SAMPLES, *cli.PARAMS[scenario]):
+        small = param is cli.SAMPLES and scenario in SMALL_TRIALS
+        if not (small or draw(st.booleans())):
+            continue
+        if param.kind == "bool":
+            argv.append(param.flag)
+        else:
+            text = _flag_text(param, scenario)
+            text = draw(text.filter(_small) if small else text)
+            argv.append(f"{param.flag}={text}")
+    return argv
+
+
+def _exit_code(argv):
+    """main's exit code, with its output swallowed; argparse's own usage
+    error (SystemExit 2) counts as 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return 2
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) == (code != 0)
+    return code
+
+
+@settings(max_examples=100, deadline=None)
+@given(config_documents())
+@example(("epr", {"scenario": "epr", "samples": 10, "params": {"observables": [["Z"]]}}))
+def test_fuzz_config_documents_end_in_an_exit_code(tmp_path_factory, case):
+    scenario, doc = case
+    config_path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
+    config_path.write_text(json.dumps(doc))
+    _exit_code([scenario, "--config", str(config_path)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv_lists())
+def test_fuzz_argv_ends_in_an_exit_code(argv):
+    _exit_code(argv)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seplab.errors import DimensionMismatch, UnknownTest
+from seplab.errors import DimensionMismatch, SeplabError, UnknownTest
 from seplab.hilbert import StateVector
 from seplab.product_test import (
     Branch,
@@ -98,6 +98,24 @@ def test_meet_over_one_test_equals_direct_certification():
         direct = is_actual(wooden_cube(state), "float").actual
         meet = meet_actual(wooden_cube(state), ["float"], 50, np.random.default_rng(3))
         assert meet.actual == direct
+
+
+def test_meet_actual_corpus_bug_is_a_seplab_error():
+    class HighRng:
+        """Draws the top of every range: past the 1 - 1e-13 positive branch,
+        onto the zero-weight negative branch that inspection ignores."""
+
+        def integers(self, n):
+            return 0
+
+        def random(self):
+            return math.nextafter(1.0, 0.0)
+
+    table = {"t": {"ready": (Branch(1.0 - 1e-13, True, "spent"), Branch(0.0, False, "spent"))}}
+    entity = TestableEntity("leaky", "ready", table)
+    assert is_actual(entity, "t").actual
+    with pytest.raises(SeplabError, match=r"leaky: \['t'\] actual, 3 trials failed"):
+        meet_actual(entity, ["t"], 3, HighRng())
 
 
 @pytest.mark.parametrize("state", ["intact", "wet", "burned"])
