@@ -1,10 +1,10 @@
-"""Bipartite structure: embedded observables, joint measurements, Schmidt analysis.
+"""Bipartite structure: joint measurements and Schmidt analysis.
 
 A joint measurement pairs two PVMs whose projectors commute on a common
-space; couple outcomes (x, y) get the product projector P_x Q_y.  The tensor
-constructor embeds factor PVMs as P (x) 1 and 1 (x) Q, which makes the
-commutation automatic, but any commuting pair of same-space PVMs works via
-``commuting_joint``.
+space; couple outcomes (x, y) get the product projector P_x Q_y.  In tensor
+form the sides are factor PVMs acting as P (x) 1 and 1 (x) Q, which makes
+the commutation automatic, but any commuting pair of same-space PVMs works
+via ``commuting_joint``.
 
 Born probabilities are computed by contraction, never through a dense couple
 projector or a lifted PVM.  In tensor form the state is reshaped row-major
@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
-from . import measurement
 from .errors import DimensionMismatch, NonCommuting
-from .hilbert import Operator, StateVector, commutator_norm, identity, tensor_op
-from .measurement import Outcome, OutcomeLike, OutcomeSet, Pvm
+from .hilbert import StateVector, commutator_norm
+from .hilbert import tensor_op  # noqa: F401  bench/test_bench.py traces this binding
+from .measurement import Outcome, OutcomeLike, Pvm
 
 COMMUTATION_TOL = 1e-10
 
@@ -46,45 +45,20 @@ class BipartiteSpace:
         return self.dim_a * self.dim_b
 
 
-def embed_left(m: Pvm, space: BipartiteSpace) -> Pvm:
-    """Lift a factor-A PVM to the product space: projectors P_x (x) 1."""
-    if m.dim != space.dim_a:
-        raise DimensionMismatch(f"pvm dim {m.dim} != dim_a {space.dim_a}")
-    eye_b = identity(space.dim_b)
-    return Pvm(m.outcomes, tuple(tensor_op(p, eye_b) for p in m.projectors))
-
-
-def embed_right(m: Pvm, space: BipartiteSpace) -> Pvm:
-    """Lift a factor-B PVM to the product space: projectors 1 (x) P_y."""
-    if m.dim != space.dim_b:
-        raise DimensionMismatch(f"pvm dim {m.dim} != dim_b {space.dim_b}")
-    eye_a = identity(space.dim_a)
-    return Pvm(m.outcomes, tuple(tensor_op(eye_a, p) for p in m.projectors))
-
-
 @dataclass(frozen=True, eq=False)
 class JointMeasurement:
     """Two one-side measurements executed together; outcomes are couples.
 
     ``pvm_a`` and ``pvm_b`` are the factor PVMs when built through
     ``joint_measurement`` (``space`` set), or same-space commuting PVMs when
-    built through ``commuting_joint`` (``space`` is None).  ``side_a`` and
-    ``side_b`` are the same PVMs acting on the full space; Born probabilities
-    (``probability``, ``probability_table``, ``marginals``) contract the state
-    with the factor projectors and never build them.
+    built through ``commuting_joint`` (``space`` is None).  Born
+    probabilities (``probability``, ``probability_table``, ``marginals``)
+    contract the state with the projectors of each side.
     """
 
     pvm_a: Pvm
     pvm_b: Pvm
     space: BipartiteSpace | None
-
-    @cached_property
-    def side_a(self) -> Pvm:
-        return embed_left(self.pvm_a, self.space) if self.space else self.pvm_a
-
-    @cached_property
-    def side_b(self) -> Pvm:
-        return embed_right(self.pvm_b, self.space) if self.space else self.pvm_b
 
     @property
     def dim(self) -> int:
@@ -93,16 +67,6 @@ class JointMeasurement:
     @cached_property
     def couples(self) -> tuple[tuple[Outcome, Outcome], ...]:
         return tuple((x, y) for x in self.pvm_a.outcomes for y in self.pvm_b.outcomes)
-
-    def projector(self, x: OutcomeLike, y: OutcomeLike) -> Operator:
-        px = self.side_a.projector_for(x).entries
-        qy = self.side_b.projector_for(y).entries
-        return Operator(px @ qy)
-
-    def coarse(self, subset_a: Iterable[OutcomeLike], subset_b: Iterable[OutcomeLike]) -> Operator:
-        pa = measurement.coarse_projector(self.side_a, subset_a).entries
-        pb = measurement.coarse_projector(self.side_b, subset_b).entries
-        return Operator(pa @ pb)
 
     @cached_property
     def _stack_a(self) -> np.ndarray:
@@ -158,15 +122,6 @@ class JointMeasurement:
             dict(zip(self.pvm_b.outcomes.labels, probs_b)),
         )
 
-    def as_pvm(self) -> Pvm:
-        """Flatten into one PVM over couple outcomes labeled ``x|y``; the Pvm
-        constructor re-checks orthogonality and completeness of the family."""
-        outcomes = OutcomeSet(
-            tuple(Outcome(f"{x.label}|{y.label}") for x, y in self.couples)
-        )
-        projectors = tuple(self.projector(x, y) for x, y in self.couples)
-        return Pvm(outcomes, projectors)
-
 
 def _squared_norms(v: np.ndarray) -> np.ndarray:
     """Squared Frobenius norms over the last two axes.  The float view puts
@@ -211,9 +166,3 @@ def schmidt(psi: StateVector, space: BipartiteSpace) -> list[tuple[float, StateV
         (float(s[k]), StateVector(u[:, k]), StateVector(vh[k, :]))
         for k in range(len(s))
     ]
-
-
-def is_product(psi: StateVector, space: BipartiteSpace, tol: float = 1e-10) -> bool:
-    """True when exactly one Schmidt coefficient exceeds ``tol``."""
-    coeffs = [c for c, _, _ in schmidt(psi, space)]
-    return sum(1 for c in coeffs if c > tol) == 1

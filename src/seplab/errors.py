@@ -17,10 +17,6 @@ class UnknownOutcome(SeplabError):
     """Outcome label not present in the measurement's outcome set."""
 
 
-class ImpossibleOutcome(SeplabError):
-    """Collapse requested onto an outcome of (numerically) zero probability."""
-
-
 class NonCommuting(SeplabError):
     """Projector pair does not commute within tolerance."""
 

@@ -103,13 +103,6 @@ class SpectralDecomposition:
     def projectors(self) -> tuple[Operator, ...]:
         return tuple(p for _, p in self.pairs)
 
-    def reconstruct(self) -> Operator:
-        dim = self.pairs[0][1].dim
-        total = np.zeros((dim, dim), dtype=complex)
-        for value, proj in self.pairs:
-            total += value * proj.entries
-        return Operator(total)
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -150,28 +143,11 @@ SIGMA_Z = Operator(np.array([[1, 0], [0, -1]], dtype=complex))
 # ---------------------------------------------------------------------------
 # operations
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dims {a.dim} and {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def normalize(v: StateVector) -> StateVector:
     n = v.norm()
     if n < 1e-14:
         raise ValueError("cannot normalize a (numerically) zero vector")
     return StateVector(v.amplitudes / n)
-
-
-def apply(O: Operator, v: StateVector) -> StateVector:
-    if O.dim != v.dim:
-        raise DimensionMismatch(f"operator dim {O.dim}, vector dim {v.dim}")
-    return StateVector(O.entries @ v.amplitudes)
-
-
-def adjoint(O: Operator) -> Operator:
-    return Operator(O.entries.conj().T)
 
 
 def tensor_vec(a: StateVector, b: StateVector) -> StateVector:

@@ -1,21 +1,21 @@
-"""Projection-valued measures and Born-rule measurement mechanics.
+"""Projection-valued measures and Born probabilities.
 
 A ``Pvm`` assigns one orthogonal projector per outcome, with the family
 summing to the identity.  Outcome labels optionally carry a real value so
 that +/-1-valued observables support correlation arithmetic downstream.
-Sampling takes an explicit ``numpy.random.Generator``; there is no hidden
-global randomness anywhere in the package.
+Joint tables of two measurements are computed in ``bipartite``; nothing here
+draws outcomes or collapses states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
 from . import hilbert
-from .errors import DimensionMismatch, ImpossibleOutcome, UnknownOutcome
+from .errors import DimensionMismatch, UnknownOutcome
 from .hilbert import Operator, StateVector
 
 # Born probabilities below this threshold count as "impossible outcome".
@@ -66,9 +66,6 @@ class OutcomeSet:
             if o.label == label:
                 return k
         raise UnknownOutcome(f"outcome {label!r} not in {self.labels}")
-
-    def resolve(self, x: OutcomeLike) -> Outcome:
-        return self.outcomes[self.index(x)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,19 +129,6 @@ def binary_pvm(p: Operator, labels: tuple[str, str] = ("+", "-")) -> Pvm:
     return Pvm(outcomes, (p, complement))
 
 
-def coarse_projector(m: Pvm, subset: Iterable[OutcomeLike]) -> Operator:
-    """Sum of the projectors over an outcome subset (empty subset -> zero)."""
-    total = np.zeros((m.dim, m.dim), dtype=complex)
-    seen: set[int] = set()
-    for x in subset:
-        k = m.outcomes.index(x)
-        if k in seen:
-            continue
-        seen.add(k)
-        total += m.projectors[k].entries
-    return Operator(total)
-
-
 def born_probability(m: Pvm, psi: StateVector, x: OutcomeLike) -> float:
     """||P_x psi||^2."""
     if m.dim != psi.dim:
@@ -155,49 +139,3 @@ def born_probability(m: Pvm, psi: StateVector, x: OutcomeLike) -> float:
 
 def all_probabilities(m: Pvm, psi: StateVector) -> tuple[float, ...]:
     return tuple(born_probability(m, psi, o) for o in m.outcomes)
-
-
-def possible_outcomes(m: Pvm, psi: StateVector, tol: float = POSSIBILITY_TOL) -> tuple[Outcome, ...]:
-    """Outcomes with Born probability above ``tol``; never empty for a unit state."""
-    if m.dim != psi.dim:
-        raise DimensionMismatch(f"pvm dim {m.dim}, state dim {psi.dim}")
-    found = tuple(o for o in m.outcomes if born_probability(m, psi, o) > tol)
-    if not found:
-        raise ValueError("no possible outcome: is the state normalized?")
-    return found
-
-
-def collapse(m: Pvm, psi: StateVector, x: OutcomeLike) -> StateVector:
-    """Project onto the outcome subspace and renormalize (Lueders rule)."""
-    prob = born_probability(m, psi, x)
-    if prob <= 1e-12:
-        raise ImpossibleOutcome(f"outcome {x} has probability {prob:.3e}")
-    projected = m.projector_for(x).entries @ psi.amplitudes
-    return StateVector(projected / np.sqrt(prob))
-
-
-def sample(m: Pvm, psi: StateVector, rng: np.random.Generator) -> tuple[Outcome, StateVector]:
-    """Draw one outcome with Born probabilities and return it with the
-    collapsed post-measurement state.  Deterministic given the generator
-    state; outcomes are scanned in outcome-set order."""
-    probs = all_probabilities(m, psi)
-    u = rng.random() * sum(probs)
-    acc = 0.0
-    pick = len(probs) - 1
-    for k, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            pick = k
-            break
-    outcome = m.outcomes.outcomes[pick]
-    return outcome, collapse(m, psi, outcome)
-
-
-def expectation_value(m: Pvm, psi: StateVector) -> float:
-    """Sum of value * probability over outcomes (requires valued outcomes)."""
-    total = 0.0
-    for o in m.outcomes:
-        if o.value is None:
-            raise ValueError(f"outcome {o.label!r} carries no value")
-        total += o.value * born_probability(m, psi, o)
-    return total

@@ -19,14 +19,13 @@ rate is exactly 1 for every seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import measurement
-from .bipartite import BipartiteSpace, embed_left, embed_right
-from .errors import DimensionMismatch, SeplabError, UnknownTest
+from .bipartite import joint_measurement
+from .errors import DimensionMismatch, InvalidArgument, SeplabError, UnknownTest
 from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, StateVector
 from .measurement import pvm_from_operator
 
@@ -63,15 +62,6 @@ class TestableEntity:
                         f"test {test!r} on state {state!r} sums to {total}"
                     )
 
-    @property
-    def states(self) -> frozenset[str]:
-        found = {self.current}
-        for by_state in self.tests.values():
-            found.update(by_state)
-            for branches in by_state.values():
-                found.update(b.next_state for b in branches)
-        return frozenset(found)
-
     def branches(self, test: str) -> tuple[Branch, ...]:
         if test not in self.tests:
             raise UnknownTest(f"{self.name} has no test {test!r}")
@@ -81,9 +71,6 @@ class TestableEntity:
                 f"test {test!r} undefined on state {self.current!r} of {self.name}"
             )
         return by_state[self.current]
-
-    def copy(self) -> "TestableEntity":
-        return replace(self)
 
 
 @dataclass(frozen=True)
@@ -110,24 +97,37 @@ def is_actual(entity: TestableEntity, test: str) -> PropertyCertificate:
     return PropertyCertificate((test,), actual, method="direct")
 
 
+def _pick(weights: Sequence[float], u: float) -> int:
+    """Inverse-CDF draw: the first index whose running sum of ``weights``
+    exceeds ``u``, else the last index."""
+    acc = 0.0
+    for k, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return k
+    return len(weights) - 1
+
+
+def _draw(
+    entity: TestableEntity, tests: Sequence[str], rng: np.random.Generator
+) -> tuple[str, Branch]:
+    """One product-test draw on the entity's current state: a constituent
+    test chosen uniformly at random, then one of its branches.  The entity
+    does not move."""
+    if len(tests) < 1:
+        raise ValueError("product test needs at least one constituent test")
+    selected = tests[int(rng.integers(len(tests)))]
+    branches = entity.branches(selected)
+    return selected, branches[_pick([b.probability for b in branches], rng.random())]
+
+
 def product_test(
     entity: TestableEntity, tests: Sequence[str], rng: np.random.Generator
 ) -> ProductTestResult:
     """Select one of the tests uniformly at random and execute it once,
     transitioning the entity.  A single-entry list degenerates to direct
     execution."""
-    if len(tests) < 1:
-        raise ValueError("product test needs at least one constituent test")
-    selected = tests[int(rng.integers(len(tests)))]
-    branches = entity.branches(selected)
-    u = rng.random()
-    acc = 0.0
-    chosen = branches[-1]
-    for b in branches:
-        acc += b.probability
-        if u < acc:
-            chosen = b
-            break
+    selected, chosen = _draw(entity, tests, rng)
     entity.current = chosen.next_state
     return ProductTestResult(selected, chosen.positive, chosen.next_state)
 
@@ -140,16 +140,13 @@ def meet_actual(
 ) -> PropertyCertificate:
     """Certify the meet of the named properties via the product test.
 
-    The verdict is the conjunction of the individual certifications; the
-    trials execute the product test on fresh copies and double-check the
-    equivalence (a positive verdict with any failing trial is a corpus bug
-    and raises).
+    The verdict is the conjunction of the individual certifications; every
+    trial draws the product test on the entity's current state, which no
+    trial moves, and double-checks the equivalence (a positive verdict with
+    any failing trial is a corpus bug and raises).
     """
     actual = all(is_actual(entity, t).actual for t in tests)
-    positives = 0
-    for _ in range(trials):
-        result = product_test(entity.copy(), tests, rng)
-        positives += int(result.positive)
+    positives = sum(_draw(entity, tests, rng)[1].positive for _ in range(trials))
     if actual and positives != trials:
         raise SeplabError(
             f"corpus bug: {entity.name}: {list(tests)} actual, {trials - positives} trials failed"
@@ -237,10 +234,11 @@ def epr_protocol(
 ) -> EprReport:
     """Run the prediction protocol on a two-qubit state.
 
-    Per trial: pick an observable name uniformly at random, measure it on
-    side B (with collapse), predict side A's outcome as the argmax of the
-    exact conditional distribution given the B result (ties break to the
-    first outcome in PVM order), then measure A and score a hit iff the
+    Per trial: pick an observable name uniformly at random, draw side B's
+    outcome from the exact joint table of that observable on both sides,
+    predict side A's outcome as the argmax of the exact conditional
+    distribution given the B result (ties break to the first outcome in PVM
+    order), then draw A from that conditional and score a hit iff the
     prediction came true.  ``min_confidence`` is the smallest argmax
     conditional probability encountered; it equals 1 exactly when every
     prediction was certain in advance.
@@ -251,54 +249,39 @@ def epr_protocol(
         raise DimensionMismatch(f"need a qubit pair (dim 4), got dim {psi.dim}")
     if not observables:
         raise ValueError("need at least one observable name")
-    space = BipartiteSpace(2, 2)
-
-    # Collapse outcomes and conditionals depend only on (observable, B result),
-    # so precompute them once per observable with the measurement-module path.
+    # Per observable, the exact (A outcome, B outcome) table fixes everything
+    # a trial needs: each possible B outcome's weight, and the conditional
+    # distribution of A given it with its argmax prediction and confidence.
     plans = []
     for name in observables:
         if name not in QUBIT_OBSERVABLES:
             raise UnknownTest(f"no qubit observable named {name!r}")
         pvm = pvm_from_operator(QUBIT_OBSERVABLES[name])
-        side_b = embed_right(pvm, space)
-        side_a = embed_left(pvm, space)
-        b_probs = list(measurement.all_probabilities(side_b, psi))
-        branches = []
-        for k, outcome_b in enumerate(side_b.outcomes):
-            if b_probs[k] <= 1e-12:
-                # Skipped branches get no weight, so the draw never lands on one.
-                b_probs[k] = 0.0
-                branches.append(None)
-                continue
-            post = measurement.collapse(side_b, psi, outcome_b)
-            cond = measurement.all_probabilities(side_a, post)
+        size = len(pvm.outcomes)
+        table = joint_measurement(pvm, pvm).probability_table(psi)
+        weights, branches = [], []
+        for column in np.array(list(table.values())).reshape(size, size).T:
+            weight = float(column.sum())
+            if weight <= CERTAINTY_TOL:
+                continue  # a negligible B outcome is never drawn
+            cond = (column / weight).tolist()
             predicted = int(np.argmax(cond))
-            branches.append((cond, predicted, float(cond[predicted])))
-        last = max(k for k, branch in enumerate(branches) if branch is not None)
-        plans.append((name, b_probs, branches, last))
+            weights.append(weight)
+            branches.append((cond, predicted, cond[predicted]))
+        if not weights:
+            raise InvalidArgument(
+                f"observable {name}: no B outcome above {CERTAINTY_TOL:g}: is the state normalized?"
+            )
+        plans.append((name, weights, sum(weights), branches))
 
     hits = 0
     per_obs = {name: {"trials": 0, "hits": 0} for name in observables}
     min_confidence = 1.0
     for _ in range(trials):
-        name, b_probs, branches, last = plans[int(rng.integers(len(plans)))]
-        u = rng.random() * sum(b_probs)
-        acc, pick = 0.0, last
-        for k, p in enumerate(b_probs):
-            acc += p
-            if u < acc:
-                pick = k
-                break
-        cond, predicted, confidence = branches[pick]
+        name, weights, total, branches = plans[int(rng.integers(len(plans)))]
+        cond, predicted, confidence = branches[_pick(weights, rng.random() * total)]
         min_confidence = min(min_confidence, confidence)
-        u = rng.random()
-        acc, measured = 0.0, len(cond) - 1
-        for k, p in enumerate(cond):
-            acc += p
-            if u < acc:
-                measured = k
-                break
-        hit = measured == predicted
+        hit = _pick(cond, rng.random()) == predicted
         hits += int(hit)
         per_obs[name]["trials"] += 1
         per_obs[name]["hits"] += int(hit)

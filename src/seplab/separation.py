@@ -116,8 +116,11 @@ def construct_witness(
     ``(1-p_a) p_b H`` (deterministically from ``rng``, phases canonical),
     then ``psi = (phi + chi)/sqrt(2)``.  Raises :class:`NonCommuting` when
     the projectors fail to commute within tolerance and
-    :class:`EmptySubspace` when either subspace has rank zero, in which case
-    this pair admits no witness.
+    :class:`EmptySubspace` when either subspace has rank zero.  That means
+    only that this cross-diagonal construction does not apply, not that the
+    pair admits no witness: for ``p_a = p_b = p`` both subspaces are zero,
+    yet with p = |0><0| (x) 1 the joint is non-separate on
+    (e_0 + e_2)/sqrt(2), whose couples lie on the (+,+)/(-,-) diagonal.
     """
     for name, p in (("p_a", p_a), ("p_b", p_b)):
         if not p.is_projector():

@@ -180,17 +180,20 @@ def schmidt_coefficients_2x2(psi: np.ndarray) -> list[float]:
     return sorted((math.sqrt(max(v, 0.0)) for v in values), reverse=True)
 
 
-def dense_joint_table(projs_a, projs_b, psi: np.ndarray, tensor: bool) -> np.ndarray:
-    """Joint Born table from dense couple projectors: P_x (x) Q_y by
+def dense_couple_projectors(projs_a, projs_b, tensor: bool) -> list[np.ndarray]:
+    """Couple projectors in row-major (x, y) order: P_x (x) Q_y by
     ``np.kron`` when ``tensor``, else the product P_x Q_y of same-space
-    projectors, applied to psi by matmul, then the squared norm."""
-    table = np.zeros((len(projs_a), len(projs_b)))
-    for i, p in enumerate(projs_a):
-        for j, q in enumerate(projs_b):
-            couple = np.kron(p, q) if tensor else p @ q
-            v = couple @ psi
-            table[i, j] = float(np.vdot(v, v).real)
-    return table
+    projectors."""
+    return [np.kron(p, q) if tensor else p @ q for p in projs_a for q in projs_b]
+
+
+def dense_joint_table(projs_a, projs_b, psi: np.ndarray, tensor: bool) -> np.ndarray:
+    """Joint Born table from dense couple projectors (see
+    ``dense_couple_projectors``) applied to psi by matmul, then the squared
+    norm."""
+    projected = [c @ psi for c in dense_couple_projectors(projs_a, projs_b, tensor)]
+    values = [float(np.vdot(v, v).real) for v in projected]
+    return np.array(values).reshape(len(projs_a), len(projs_b))
 
 
 def dense_marginals(projs_a, projs_b, psi: np.ndarray, tensor: bool) -> tuple[list[float], list[float]]:

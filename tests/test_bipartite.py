@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    dense_couple_projectors,
     dense_joint_table,
     dense_marginals,
     random_hermitian,
@@ -15,9 +16,6 @@ from oracles import (
 from seplab.bipartite import (
     BipartiteSpace,
     commuting_joint,
-    embed_left,
-    embed_right,
-    is_product,
     joint_measurement,
     schmidt,
 )
@@ -28,13 +26,19 @@ from seplab.hilbert import (
     Operator,
     StateVector,
     basis_vector,
-    commutator_norm,
     haar_projector,
     identity,
     tensor_op,
     tensor_vec,
 )
-from seplab.measurement import born_probability, coarse_projector, pvm_from_operator
+from seplab.measurement import (
+    Outcome,
+    OutcomeSet,
+    Pvm,
+    all_probabilities,
+    born_probability,
+    pvm_from_operator,
+)
 from seplab.separation import separation_verdict, witness_joint
 
 Z_PVM = pvm_from_operator(SIGMA_Z)
@@ -47,40 +51,16 @@ def two_qubit(amplitudes) -> StateVector:
     return StateVector(np.array(amplitudes, dtype=complex))
 
 
-def test_embed_left_right_projectors():
-    left = embed_left(Z_PVM, QUBIT_PAIR)
-    np.testing.assert_allclose(
-        left.projector_for("+1").entries, np.diag([1, 1, 0, 0]), atol=1e-12
-    )
-    right = embed_right(Z_PVM, QUBIT_PAIR)
-    np.testing.assert_allclose(
-        right.projector_for("+1").entries, np.diag([1, 0, 1, 0]), atol=1e-12
-    )
-
-
-def test_embedded_sides_commute():
-    left = embed_left(Z_PVM, QUBIT_PAIR)
-    right = embed_right(X_PVM, QUBIT_PAIR)
-    for p in left.projectors:
-        for q in right.projectors:
-            assert commutator_norm(p, q) <= 1e-12
-
-
-def test_embed_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        embed_left(Z_PVM, BipartiteSpace(3, 2))
-
-
 def test_joint_measurement_z_z():
     joint = joint_measurement(Z_PVM, Z_PVM)
     assert len(joint.couples) == 4
-    for x, y in joint.couples:
-        proj = joint.projector(x, y)
-        assert proj.is_projector()
-        assert np.count_nonzero(np.abs(np.diag(proj.entries)) > 0.5) == 1
-    np.testing.assert_allclose(
-        joint.coarse(["+1"], ["-1"]).entries, np.diag([0, 1, 0, 0]), atol=1e-12
-    )
+    # each basis state fires exactly one couple: e_1 = |0>|1> gives (+1, -1)
+    fired = []
+    for k in range(4):
+        table = joint.probability_table(basis_vector(4, k))
+        assert sorted(table.values()) == pytest.approx([0, 0, 0, 1], abs=1e-12)
+        fired.append(max(table, key=table.get))
+    assert fired == [("+1", "+1"), ("+1", "-1"), ("-1", "+1"), ("-1", "-1")]
 
 
 def test_commuting_joint_rejects_non_commuting_sides():
@@ -93,7 +73,6 @@ def test_schmidt_product_state():
     coeffs = [c for c, _, _ in triples]
     assert coeffs[0] == pytest.approx(1.0, abs=1e-12)
     assert all(c <= 1e-12 for c in coeffs[1:])
-    assert is_product(tensor_vec(basis_vector(2, 0), basis_vector(2, 1)), QUBIT_PAIR)
 
 
 @pytest.mark.parametrize(
@@ -109,7 +88,6 @@ def test_schmidt_maximally_entangled_pairs(amplitudes):
     coeffs = [c for c, _, _ in schmidt(psi, QUBIT_PAIR)]
     assert coeffs == pytest.approx(expected, abs=1e-12)
     assert coeffs == pytest.approx([ROOT_HALF, ROOT_HALF], abs=1e-12)
-    assert not is_product(psi, QUBIT_PAIR)
 
 
 @given(seed=st.integers(0, 10_000), da=st.integers(2, 4), db=st.integers(2, 4))
@@ -128,39 +106,32 @@ def test_schmidt_reconstructs_the_state(seed, da, db):
     assert np.linalg.norm(rebuilt - psi.amplitudes) <= 1e-9
 
 
-@given(seed=st.integers(0, 10_000), da=st.integers(2, 4), db=st.integers(2, 4))
-@settings(max_examples=30, deadline=None)
-def test_coarse_factorizes_over_sides(seed, da, db):
-    rng = np.random.default_rng(seed)
-    ma = pvm_from_operator(Operator(random_hermitian(da, rng)))
-    mb = pvm_from_operator(Operator(random_hermitian(db, rng)))
-    joint = joint_measurement(ma, mb)
-    ka = int(rng.integers(0, len(ma.outcomes) + 1))
-    kb = int(rng.integers(0, len(mb.outcomes) + 1))
-    subset_a = ma.outcomes.labels[:ka]
-    subset_b = mb.outcomes.labels[:kb]
-    # summing couple projectors over I x J must equal the product of the
-    # one-side coarse projectors
-    summed = np.zeros((joint.dim, joint.dim), dtype=complex)
-    for x in subset_a:
-        for y in subset_b:
-            summed += joint.projector(x, y).entries
-    pa = coarse_projector(joint.side_a, subset_a).entries
-    pb = coarse_projector(joint.side_b, subset_b).entries
-    assert np.abs(summed - pa @ pb).max() <= 1e-10
-    assert np.abs(joint.coarse(subset_a, subset_b).entries - summed).max() <= 1e-10
+def _flatten(joint, projs_a, projs_b, tensor: bool) -> Pvm:
+    """The couple family of ``joint`` as one PVM over labels ``x|y``, from
+    dense couple projectors; the Pvm constructor checks the family."""
+    outcomes = OutcomeSet(tuple(Outcome(f"{x.label}|{y.label}") for x, y in joint.couples))
+    couples = dense_couple_projectors(projs_a, projs_b, tensor)
+    return Pvm(outcomes, tuple(Operator(c) for c in couples))
 
 
 def test_joint_flattens_to_a_valid_pvm():
+    psi = two_qubit([0.5, 0.5j, -0.5, 0.5])
+    z, x = [p.entries for p in Z_PVM.projectors], [p.entries for p in X_PVM.projectors]
     joint = joint_measurement(Z_PVM, X_PVM)
-    flat = joint.as_pvm()  # Pvm construction re-validates the couple family
+    flat = _flatten(joint, z, x, tensor=True)
     assert flat.outcomes.labels == ("-1|-1", "-1|+1", "+1|-1", "+1|+1")
-    from seplab.bipartite import commuting_joint
-
-    flat_commuting = commuting_joint(
-        embed_left(Z_PVM, QUBIT_PAIR), embed_right(X_PVM, QUBIT_PAIR)
-    ).as_pvm()
+    table = list(joint.probability_table(psi).values())
+    assert table == pytest.approx(all_probabilities(flat, psi), abs=1e-12)
+    lifted_z = [np.kron(p, np.eye(2)) for p in z]
+    lifted_x = [np.kron(np.eye(2), q) for q in x]
+    commuting = commuting_joint(
+        Pvm(Z_PVM.outcomes, tuple(Operator(p) for p in lifted_z)),
+        Pvm(X_PVM.outcomes, tuple(Operator(q) for q in lifted_x)),
+    )
+    flat_commuting = _flatten(commuting, lifted_z, lifted_x, tensor=False)
     assert len(flat_commuting.outcomes) == 4
+    table = list(commuting.probability_table(psi).values())
+    assert table == pytest.approx(all_probabilities(flat_commuting, psi), abs=1e-12)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -172,12 +143,18 @@ def test_marginal_consistency(seed):
     mb = pvm_from_operator(Operator(random_hermitian(db, rng)))
     joint = joint_measurement(ma, mb)
     psi = StateVector(random_state(da * db, rng))
-    for x in ma.outcomes:
+    exp_a, exp_b = dense_marginals(
+        [p.entries for p in ma.projectors],
+        [q.entries for q in mb.projectors],
+        psi.amplitudes,
+        tensor=True,
+    )
+    for x, expected in zip(ma.outcomes, exp_a):
         total = sum(joint.probability(psi, x, y) for y in mb.outcomes)
-        assert total == pytest.approx(born_probability(joint.side_a, psi, x), abs=1e-10)
-    for y in mb.outcomes:
+        assert total == pytest.approx(expected, abs=1e-10)
+    for y, expected in zip(mb.outcomes, exp_b):
         total = sum(joint.probability(psi, x, y) for x in ma.outcomes)
-        assert total == pytest.approx(born_probability(joint.side_b, psi, y), abs=1e-10)
+        assert total == pytest.approx(expected, abs=1e-10)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -283,13 +260,21 @@ def test_witness_joint_on_tensor_embedded_projectors_matches_dense_oracle(seed, 
     _assert_matches_dense(witness_joint(p_a, p_b), random_state(da * db, rng), tensor=False)
 
 
-def test_table_and_verdict_never_lift_the_factor_pvms():
+def test_table_and_verdict_never_lift_the_factor_pvms(monkeypatch):
     joint = joint_measurement(Z_PVM, X_PVM)
     psi = two_qubit([0.5, 0.5j, -0.5, 0.5])
+    built = []
+    check = Pvm.__post_init__
+
+    def spy(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Pvm, "__post_init__", spy)
     joint.probability_table(psi)
+    joint.marginals(psi)
     separation_verdict(joint, psi)
-    assert "side_a" not in joint.__dict__
-    assert "side_b" not in joint.__dict__
+    assert built == []
 
 
 def test_contraction_rejects_a_state_of_the_wrong_dimension():

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -321,6 +323,53 @@ NON_DEFAULT = {
     "state_a": ("minus", "minus", ()),
     "state_b": ("one", "one", ()),
 }
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _scenario_bullets(text: str, start: str, stop: str) -> dict[str, str]:
+    """The ``- `scenario` — ...`` bullets between two headings, joined per
+    bullet and keyed by scenario name."""
+    section = text.split(start, 1)[1].split(stop, 1)[0]
+    bullets = re.split(r"^- `([a-z-]+)` — ", section, flags=re.M)[1:]
+    return {name: " ".join(body.split()) for name, body in zip(bullets[::2], bullets[1::2])}
+
+
+def test_readme_flag_lists_match_the_parameter_spec():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    bullets = _scenario_bullets(readme, "Scenarios and their flags", "Examples:")
+    assert set(bullets) == set(cli.SCENARIOS)
+    for scenario, body in bullets.items():
+        spec = {p.flag: p for p in cli.PARAMS[scenario]}
+        found = re.findall(r"`(--[a-z-]+)( [^`]*)?`", body)
+        assert found, scenario
+        for flag, listed in found:
+            assert flag in spec, f"{scenario}: README lists {flag}, not in the spec"
+            if "|" in listed:
+                assert tuple(listed.strip().split("|")) == spec[flag].choices, flag
+        missing = set(spec) - {flag for flag, _ in found}
+        assert not missing, f"{scenario}: README omits {sorted(missing)}"
+
+
+def test_schema_parameter_lines_match_the_parameter_spec():
+    schemas = (ROOT / "docs" / "schemas.md").read_text(encoding="utf-8")
+    bullets = _scenario_bullets(schemas, "### Scenario parameters and defaults", "## Report")
+    assert set(bullets) == set(cli.SCENARIOS)
+    for scenario, body in bullets.items():
+        # a parameter is a name followed by its default in parentheses;
+        # `angles_a`/`angles_b` (...) documents two at once
+        found = re.findall(r"`([a-z_]+)`(?=(?:/`[a-z_]+`)* \()", body)
+        assert found == [p.name for p in cli.PARAMS[scenario]], scenario
+    params = {p.name: p for ps in cli.PARAMS.values() for p in ps}
+    kinds = {
+        "Integer fields": {"schema_version", "seed", "samples"}
+        | {n for n, p in params.items() if p.kind == "int"},
+        "List parameters": {n for n, p in params.items() if p.kind in ("angles", "subset")},
+    }
+    for heading, names in kinds.items():
+        listed = re.search(re.escape(heading) + r" \(([^)]*)\)", schemas).group(1)
+        assert set(re.findall(r"`([a-z_]+)`", listed)) == names, heading
 
 
 def _spec(scenario):

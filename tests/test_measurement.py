@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import random_hermitian, random_state
-from seplab.errors import DimensionMismatch, ImpossibleOutcome, UnknownOutcome
+from seplab.errors import DimensionMismatch, UnknownOutcome
 from seplab.hilbert import SIGMA_X, SIGMA_Z, Operator, StateVector, basis_vector
 from seplab.measurement import (
     Outcome,
@@ -15,12 +15,7 @@ from seplab.measurement import (
     all_probabilities,
     binary_pvm,
     born_probability,
-    coarse_projector,
-    collapse,
-    expectation_value,
-    possible_outcomes,
     pvm_from_operator,
-    sample,
 )
 
 Z_PVM = pvm_from_operator(SIGMA_Z)
@@ -43,32 +38,34 @@ def test_pvm_rejects_non_projector_and_incomplete_families():
         Pvm(outcomes, (half, half))  # not orthogonal, not complete
 
 
+@pytest.mark.parametrize("levels", [64, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pvm_orthogonality_check_at_dim_64(seed, levels):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    unitary = np.linalg.qr(g)[0]
+    spectrum = np.repeat(np.arange(levels), 64 // levels)
+    m = pvm_from_operator(Operator((unitary * spectrum) @ unitary.conj().T))
+    assert len(m.outcomes) == levels
+    outcomes = OutcomeSet(tuple(Outcome(str(k)) for k in range(levels)))
+    width = 64 // levels
+
+    def family(eps):
+        """Block projectors of the unitary's columns, the first column turned
+        by ``eps`` toward the first column of block 1."""
+        cols = unitary.copy()
+        cols[:, 0] = math.cos(eps) * unitary[:, 0] + math.sin(eps) * unitary[:, width]
+        return tuple(Operator(b @ b.conj().T) for b in np.split(cols, levels, axis=1))
+
+    Pvm(outcomes, family(0.0))
+    Pvm(outcomes, family(1e-11))
+    with pytest.raises(ValueError, match="projectors 0 and 1 are not orthogonal"):
+        Pvm(outcomes, family(1e-8))
+
+
 def test_outcome_labels_must_be_distinct():
     with pytest.raises(ValueError):
         OutcomeSet((Outcome("x"), Outcome("x")))
-
-
-def test_coarse_projector_empty_full_and_single():
-    zero = coarse_projector(Z_PVM, [])
-    np.testing.assert_allclose(zero.entries, np.zeros((2, 2)))
-    full = coarse_projector(Z_PVM, Z_PVM.outcomes.labels)
-    np.testing.assert_allclose(full.entries, np.eye(2), atol=1e-12)
-    plus_only = coarse_projector(Z_PVM, ["+1"])
-    np.testing.assert_allclose(plus_only.entries, np.diag([1, 0]), atol=1e-12)
-
-
-def test_coarse_projector_complement_identity():
-    rng = np.random.default_rng(11)
-    m = pvm_from_operator(Operator(random_hermitian(4, rng)))
-    subset = m.outcomes.labels[:2]
-    rest = m.outcomes.labels[2:]
-    total = coarse_projector(m, subset).entries + coarse_projector(m, rest).entries
-    assert np.abs(total - np.eye(4)).max() <= 1e-10
-
-
-def test_coarse_projector_unknown_outcome():
-    with pytest.raises(UnknownOutcome):
-        coarse_projector(Z_PVM, ["+2"])
 
 
 def test_born_probability_examples():
@@ -83,43 +80,6 @@ def test_born_probability_errors():
         born_probability(Z_PVM, ZERO, "nope")
     with pytest.raises(DimensionMismatch):
         born_probability(Z_PVM, basis_vector(4, 0), "+1")
-
-
-def test_possible_outcomes():
-    assert [o.label for o in possible_outcomes(Z_PVM, ZERO)] == ["+1"]
-    assert [o.label for o in possible_outcomes(Z_PVM, PLUS)] == ["-1", "+1"]
-
-
-def test_collapse_examples():
-    post = collapse(Z_PVM, PLUS, "+1")
-    np.testing.assert_allclose(post.amplitudes, ZERO.amplitudes, atol=1e-12)
-    fixed = collapse(Z_PVM, ZERO, "+1")
-    np.testing.assert_allclose(fixed.amplitudes, ZERO.amplitudes, atol=1e-12)
-    with pytest.raises(ImpossibleOutcome):
-        collapse(Z_PVM, ZERO, "-1")
-
-
-def test_sample_eigenstate_is_deterministic():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        outcome, post = sample(Z_PVM, ZERO, rng)
-        assert outcome.label == "+1"
-        np.testing.assert_allclose(post.amplitudes, ZERO.amplitudes, atol=1e-12)
-
-
-def test_sample_frequency_matches_born_rule():
-    rng = np.random.default_rng(123)
-    n = 100_000
-    hits = sum(sample(Z_PVM, PLUS, rng)[0].label == "+1" for _ in range(n))
-    assert abs(hits / n - 0.5) < 0.01  # ~6 sigma of the binomial spread
-
-
-def test_sample_is_reproducible_for_fixed_seed():
-    rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-    seq_a = [sample(X_PVM, ZERO, rng1)[0].label for _ in range(50)]
-    seq_b = [sample(X_PVM, ZERO, rng2)[0].label for _ in range(50)]
-    assert seq_a == seq_b
-    assert len(set(seq_a)) == 2  # the |0> state hits both X outcomes
 
 
 def test_binary_pvm_structure():
@@ -140,8 +100,7 @@ def test_probabilities_sum_to_one_and_coarse_additivity(seed, dim):
     probs = all_probabilities(m, psi)
     assert sum(probs) == pytest.approx(1.0, abs=1e-10)
     half = len(m.outcomes) // 2 + 1
-    subset = m.outcomes.labels[:half]
-    proj = coarse_projector(m, subset).entries
+    proj = sum(p.entries for p in m.projectors[:half])
     coarse_prob = float(np.real(np.vdot(proj @ psi.amplitudes, proj @ psi.amplitudes)))
     assert coarse_prob == pytest.approx(sum(probs[:half]), abs=1e-10)
 
@@ -154,4 +113,5 @@ def test_expectation_round_trip_through_spectral_pvm(seed, dim):
     m = pvm_from_operator(op)
     psi = StateVector(random_state(dim, rng))
     direct = float(np.real(np.vdot(psi.amplitudes, op.entries @ psi.amplitudes)))
-    assert expectation_value(m, psi) == pytest.approx(direct, abs=1e-9)
+    spectral = sum(o.value * born_probability(m, psi, o) for o in m.outcomes)
+    assert spectral == pytest.approx(direct, abs=1e-9)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from seplab.errors import DimensionMismatch, SeplabError, UnknownTest
+from seplab.errors import DimensionMismatch, InvalidArgument, SeplabError, UnknownTest
 from seplab.hilbert import StateVector
+from seplab.measurement import Pvm
 from seplab.product_test import (
     Branch,
     TestableEntity,
@@ -118,6 +119,29 @@ def test_meet_actual_corpus_bug_is_a_seplab_error():
         meet_actual(entity, ["t"], 3, HighRng())
 
 
+def test_meet_actual_neither_moves_nor_copies_the_entity(monkeypatch):
+    entity = flaky_entity()
+    built = []
+    check = TestableEntity.__post_init__
+
+    def spy(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(TestableEntity, "__post_init__", spy)
+    meet_actual(entity, ["t1", "t2"], 200, np.random.default_rng(4))
+    assert entity.current == "ready"
+    assert built == []
+
+
+def test_meet_actual_draws_as_product_tests_on_fresh_entities():
+    for seed in range(5):
+        cert = meet_actual(flaky_entity(), ["t1", "t2"], 300, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        fresh = [product_test(flaky_entity(), ["t1", "t2"], rng) for _ in range(300)]
+        assert cert.positives == sum(r.positive for r in fresh)
+
+
 @pytest.mark.parametrize("state", ["intact", "wet", "burned"])
 def test_piron_equivalence_over_cube_corpus(state):
     cube = wooden_cube(state)
@@ -182,3 +206,23 @@ def test_epr_draw_skips_negligible_b_branch():
     report = epr_protocol(psi, ("Z",), trials=3, rng=LowRng())
     assert report.trials == 3
     assert report.hit_rate == 1.0
+
+
+@pytest.mark.parametrize("amplitudes", [[0, 0, 0, 0], [1e-7, 0, 0, 0]])
+def test_epr_rejects_a_state_with_no_possible_b_outcome(amplitudes):
+    psi = StateVector(np.array(amplitudes, dtype=complex))
+    with pytest.raises(InvalidArgument, match="is the state normalized"):
+        epr_protocol(psi, ("Z", "X"), trials=10, rng=np.random.default_rng(0))
+
+
+def test_epr_builds_pvms_on_one_qubit_only(monkeypatch):
+    built = []
+    check = Pvm.__post_init__
+
+    def spy(self):
+        built.append(self.projectors[0].dim)
+        check(self)
+
+    monkeypatch.setattr(Pvm, "__post_init__", spy)
+    epr_protocol(SINGLET, ("Z", "X", "Y"), trials=50, rng=np.random.default_rng(0))
+    assert built == [2, 2, 2]
