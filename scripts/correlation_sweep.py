@@ -27,7 +27,7 @@ def main() -> None:
     for k in range(args.steps):
         delta = math.pi * k / (args.steps - 1)
         model = bell.quantum_coincidence_model(singlet, (0.0,), (delta,))
-        e_q = bell.correlation_from_distribution(model.exact_distribution(0, 0))
+        e_q = bell.correlation(model.tables[0, 0])
         e_r = rock_expectation(0.0, delta)
         print(f"{delta / math.pi:>10.3f} {e_q:>12.6f} {e_r:>12.6f}")
 

@@ -2,13 +2,14 @@
 
 A coincidence experiment is anything with two stations, a finite list of
 settings per station, and +/-1 outcomes per trial.  Every model, quantum
-state or macroscopic classical experiment, is given by one thing: its exact
-joint distribution over the four outcome pairs for each setting pair.  The
-exact CHSH value, the sampled CHSH value and the no-signalling residual are
-all read from those tables, so one evaluator demarcates every model and one
-sampler serves them all: the counts of n i.i.d. outcome pairs are a single
-multinomial draw from the cell's table.  The sign convention is fixed
-project-wide:
+state or macroscopic classical experiment, is one value: ``settings_a``,
+``settings_b`` and ``tables``, where ``tables[i, j, a, b]`` is the exact
+probability of outcome pair (a, b) for setting pair (i, j) and index 0 is the
+outcome +1, index 1 the outcome -1.  The exact CHSH value, the sampled CHSH
+value and the no-signalling residual are all read from that array, so one
+evaluator demarcates every model and one sampler serves them all: the counts
+of n i.i.d. outcome pairs are a single multinomial draw from the cell's
+table.  The sign convention is fixed project-wide:
 
     S = E(1,1) + E(1,2) + E(2,1) - E(2,2)
 
@@ -28,9 +29,9 @@ from typing import Sequence
 import numpy as np
 
 from .bipartite import joint_measurement
-from .errors import BadSpectrum, DimensionMismatch, MissingDistribution, NotHermitian
+from .errors import BadSpectrum, DimensionMismatch, InvalidArgument, NotHermitian
 from .hilbert import SIGMA_X, SIGMA_Z, Operator, StateVector, tensor_op
-from .measurement import pvm_from_operator
+from .measurement import Pvm, pvm_from_operator
 
 CHSH_CONVENTION = "S = E(1,1) + E(1,2) + E(2,1) - E(2,2)"
 CLASSICAL_BOUND = 2.0
@@ -41,34 +42,38 @@ ALGEBRAIC_BOUND = 4.0
 DEFAULT_ANGLES_A = (0.0, math.pi / 2)
 DEFAULT_ANGLES_B = (math.pi / 4, -math.pi / 4)
 
-Pair = tuple[int, int]
-Distribution = dict[Pair, float]
-
-_OUTCOME_PAIRS: tuple[Pair, ...] = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
-_PAIR_PRODUCTS = np.array([a * b for a, b in _OUTCOME_PAIRS])
+# a * b for the outcome pairs in ``tables[i, j].ravel()`` order: ++, +-, -+, --;
+# integers, so that ``counts @ _PAIR_PRODUCTS`` is exact for any count < 2**63
+_PAIR_PRODUCTS = np.array([1, -1, -1, 1])
 
 
+@dataclass(frozen=True, eq=False)
 class CoincidenceModel:
     """Two-station experiment: setting pair in, (+/-1, +/-1) out.
 
-    A model is its table: ``exact_distribution(i, j)`` gives the probability
-    of each outcome pair for setting pair (i, j); a pair it leaves out has
-    probability 0.  A model without a table returns None, and every CHSH
-    evaluation of it raises ``MissingDistribution``.
+    A model is its table: ``tables[i, j, a, b]`` is the probability of
+    outcome pair (a, b) for setting pair (i, j), with index 0 the outcome +1
+    and index 1 the outcome -1.  The array is a read-only float copy of the
+    one passed in.
     """
 
-    settings_a: Sequence[object] = ()
-    settings_b: Sequence[object] = ()
+    settings_a: tuple[object, ...]
+    settings_b: tuple[object, ...]
+    tables: np.ndarray
 
-    def exact_distribution(self, i: int, j: int) -> Distribution | None:
-        return None
-
-
-def _table(model: CoincidenceModel, i: int, j: int) -> Distribution:
-    dist = model.exact_distribution(i, j)
-    if dist is None:
-        raise MissingDistribution(f"no exact distribution for cell ({i}, {j})")
-    return dist
+    def __post_init__(self) -> None:
+        for name in ("settings_a", "settings_b"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        tables = np.array(self.tables, dtype=float)
+        if not self.settings_a or not self.settings_b:
+            raise InvalidArgument("need at least one setting per side")
+        shape = (len(self.settings_a), len(self.settings_b), 2, 2)
+        if tables.shape != shape:
+            raise InvalidArgument(f"tables have shape {tables.shape}, the settings need {shape}")
+        if not np.isfinite(tables).all():
+            raise InvalidArgument("table entries must be finite")
+        tables.flags.writeable = False
+        object.__setattr__(self, "tables", tables)
 
 
 @dataclass(frozen=True)
@@ -128,63 +133,52 @@ def expectation(psi: StateVector, A: Operator, B: Operator) -> float:
     return float(value.real)
 
 
-class QuantumCoincidenceModel(CoincidenceModel):
-    """Coincidence experiment on a two-qubit state with spin settings given
-    as angles in the z-x plane; each cell's table is the joint measurement's
-    Born probability table."""
-
-    def __init__(
-        self,
-        psi: StateVector,
-        settings_a: Sequence[float],
-        settings_b: Sequence[float],
-    ):
-        if psi.dim != 4:
-            raise DimensionMismatch(f"need a qubit pair (dim 4), got dim {psi.dim}")
-        self.psi = psi
-        self.settings_a = tuple(float(t) for t in settings_a)
-        self.settings_b = tuple(float(t) for t in settings_b)
-        pvms_a = [pvm_from_operator(spin_observable(t)) for t in self.settings_a]
-        pvms_b = [pvm_from_operator(spin_observable(t)) for t in self.settings_b]
-        self._joints = {
-            (i, j): joint_measurement(ma, mb)
-            for i, ma in enumerate(pvms_a)
-            for j, mb in enumerate(pvms_b)
-        }
-
-    def exact_distribution(self, i: int, j: int) -> Distribution:
-        joint = self._joints[(i, j)]
-        table = joint.probability_table(self.psi)
-        return {
-            (int(round(x.value)), int(round(y.value))): table[(x.label, y.label)]
-            for x, y in joint.couples
-        }
+def _plus_first(pvm: Pvm) -> np.ndarray:
+    """Outcome indices of a +/-1 PVM, the +1 outcome first."""
+    return np.argsort([-o.value for o in pvm.outcomes])
 
 
 def quantum_coincidence_model(
     psi: StateVector,
     settings_a: Sequence[float],
     settings_b: Sequence[float],
-) -> QuantumCoincidenceModel:
-    return QuantumCoincidenceModel(psi, settings_a, settings_b)
+) -> CoincidenceModel:
+    """Coincidence experiment on a two-qubit state with spin settings given
+    as angles in the z-x plane; each cell's table is the joint measurement's
+    Born probability table."""
+    if psi.dim != 4:
+        raise DimensionMismatch(f"need a qubit pair (dim 4), got dim {psi.dim}")
+    settings_a = tuple(float(t) for t in settings_a)
+    settings_b = tuple(float(t) for t in settings_b)
+    pvms_a = [pvm_from_operator(spin_observable(t)) for t in settings_a]
+    pvms_b = [pvm_from_operator(spin_observable(t)) for t in settings_b]
+    tables = [
+        [
+            joint_measurement(ma, mb).table(psi)[np.ix_(_plus_first(ma), _plus_first(mb))]
+            for mb in pvms_b
+        ]
+        for ma in pvms_a
+    ]
+    return CoincidenceModel(settings_a, settings_b, tables)
 
 
 def _require_2x2(model: CoincidenceModel) -> None:
     if len(model.settings_a) != 2 or len(model.settings_b) != 2:
-        raise ValueError("CHSH needs exactly 2 settings per side")
+        raise InvalidArgument("CHSH needs exactly 2 settings per side")
 
 
-def correlation_from_distribution(dist: Distribution) -> float:
-    return sum(a * b * p for (a, b), p in dist.items())
+def correlation(tables: np.ndarray) -> np.ndarray | float:
+    """E = P(+,+) - P(+,-) - P(-,+) + P(-,-) over the last two axes: a float
+    for one cell's 2x2 table, an (A, B) array for a model's ``tables``.  The
+    terms are added from the (-1, -1) corner, in ascending outcome order."""
+    t = np.asarray(tables)
+    return ((t[..., 1, 1] - t[..., 1, 0]) - t[..., 0, 1]) + t[..., 0, 0]
 
 
 def chsh_exact(model: CoincidenceModel) -> ChshReport:
-    """CHSH from the model's exact joint distributions."""
+    """CHSH from the model's exact tables."""
     _require_2x2(model)
-    e = [
-        [correlation_from_distribution(_table(model, i, j)) for j in range(2)]
-        for i in range(2)
-    ]
+    e = correlation(model.tables).tolist()
     e_table = (tuple(e[0]), tuple(e[1]))
     return ChshReport(e_table=e_table, s=chsh_combination(e))
 
@@ -202,47 +196,25 @@ def chsh_sampled(model: CoincidenceModel, n: int, rng: np.random.Generator) -> C
     standard error is sqrt((1 - E^2)/n).
     """
     if n < 1:
-        raise ValueError("need at least one sample per cell")
+        raise InvalidArgument("need at least one sample per cell")
     _require_2x2(model)
-    streams = rng.spawn(4)
-    e = [[0.0, 0.0], [0.0, 0.0]]
-    se = [[0.0, 0.0], [0.0, 0.0]]
-    for i in range(2):
-        for j in range(2):
-            dist = _table(model, i, j)
-            probs = np.array([max(dist.get(pair, 0.0), 0.0) for pair in _OUTCOME_PAIRS])
-            counts = streams[2 * i + j].multinomial(n, probs / probs.sum())
-            est = int(counts @ _PAIR_PRODUCTS) / n
-            e[i][j] = est
-            se[i][j] = math.sqrt(max(1.0 - est * est, 0.0) / n)
+    e, se = [], []
+    # one row per cell, in row-major cell order; columns ++, +-, -+, --
+    for stream, probs in zip(rng.spawn(4), np.maximum(model.tables, 0.0).reshape(4, 4)):
+        est = int(stream.multinomial(n, probs / probs.sum()) @ _PAIR_PRODUCTS) / n
+        e.append(est)
+        se.append(math.sqrt(max(1.0 - est * est, 0.0) / n))
     return ChshReport(
-        e_table=(tuple(e[0]), tuple(e[1])),
-        s=chsh_combination(e),
+        e_table=(tuple(e[:2]), tuple(e[2:])),
+        s=chsh_combination((e[:2], e[2:])),
         samples_per_cell=n,
-        stderr=(tuple(se[0]), tuple(se[1])),
+        stderr=(tuple(se[:2]), tuple(se[2:])),
     )
 
 
 def no_signaling_residual(model: CoincidenceModel) -> float:
     """Largest shift of a one-side marginal when the other side's setting
-    changes, computed from the exact distributions."""
-    rows = range(len(model.settings_a))
-    cols = range(len(model.settings_b))
-    tables = {(i, j): _table(model, i, j) for i in rows for j in cols}
-
-    def marg_a(i: int, j: int, a: int) -> float:
-        return sum(p for (x, _), p in tables[(i, j)].items() if x == a)
-
-    def marg_b(i: int, j: int, b: int) -> float:
-        return sum(p for (_, y), p in tables[(i, j)].items() if y == b)
-
-    worst = 0.0
-    for i in rows:
-        for a in (+1, -1):
-            vals = [marg_a(i, j, a) for j in cols]
-            worst = max(worst, max(vals) - min(vals))
-    for j in cols:
-        for b in (+1, -1):
-            vals = [marg_b(i, j, b) for i in rows]
-            worst = max(worst, max(vals) - min(vals))
-    return worst
+    changes, computed from the exact tables."""
+    marginals_a = model.tables.sum(axis=3)  # [i, j, a]: varies with j iff signalling
+    marginals_b = model.tables.sum(axis=2)  # [i, j, b]: varies with i iff signalling
+    return float(max(np.ptp(marginals_a, axis=1).max(), np.ptp(marginals_b, axis=0).max()))

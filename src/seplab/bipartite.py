@@ -52,8 +52,8 @@ class JointMeasurement:
     ``pvm_a`` and ``pvm_b`` are the factor PVMs when built through
     ``joint_measurement`` (``space`` set), or same-space commuting PVMs when
     built through ``commuting_joint`` (``space`` is None).  Born
-    probabilities (``probability``, ``probability_table``, ``marginals``)
-    contract the state with the projectors of each side.
+    probabilities (``table``, ``probability``, ``probability_table``,
+    ``marginals``) contract the state with the projectors of each side.
     """
 
     pvm_a: Pvm
@@ -93,20 +93,21 @@ class JointMeasurement:
         """Q_y applied to ``m`` for every y: Psi Q_y^T or Q_y psi."""
         return m @ self._stack_b if self.space else self._stack_b @ m
 
-    def _table(self, psi: StateVector) -> np.ndarray:
-        """||P_x (Q_y applied to the state)||^2 as a (side A, side B) array."""
+    def table(self, psi: StateVector) -> np.ndarray:
+        """Born probability of every couple, indexed [x, y] in PVM outcome
+        order: ||P_x (Q_y applied to the state)||^2."""
         return _squared_norms(self._stack_a[:, None] @ self._apply_b(self._matrix(psi)))
 
     def probability(self, psi: StateVector, x: OutcomeLike, y: OutcomeLike) -> float:
         i, j = self.pvm_a.outcomes.index(x), self.pvm_b.outcomes.index(y)
-        return float(self._table(psi)[i, j])
+        return float(self.table(psi)[i, j])
 
     def probability_table(self, psi: StateVector) -> dict[tuple[str, str], float]:
         """Born probability of every couple, keyed by labels in ``couples``
         order: ||P_x Psi Q_y^T||_F^2 in tensor form, with Psi the row-major
         dim_a x dim_b reshape of psi, and ||P_x (Q_y psi)||^2 in commuting
         form."""
-        values = self._table(psi).ravel().tolist()
+        values = self.table(psi).ravel().tolist()
         return {(x.label, y.label): p for (x, y), p in zip(self.couples, values)}
 
     def marginals(self, psi: StateVector) -> tuple[dict[str, float], dict[str, float]]:

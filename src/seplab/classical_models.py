@@ -1,7 +1,8 @@
 """Three macroscopic coincidence experiments with exactly enumerable tables.
 
-Each model is given by its exact joint distribution per setting pair (see
-``bell.CoincidenceModel``); the mechanisms below are what those tables
+Each model is a ``bell.CoincidenceModel``: its settings per side and its
+exact outcome-pair tables ``tables[i, j, a, b]`` (index 0 the outcome +1,
+index 1 the outcome -1); the mechanisms below are what those tables
 enumerate.  Sampled CHSH draws from the tables, and the test suite keeps an
 independent sampler of each mechanism (``tests/oracles.py``) that is checked
 against them.
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 
-from .bell import CoincidenceModel, Distribution
+from .bell import DEFAULT_ANGLES_A, DEFAULT_ANGLES_B, CoincidenceModel
 
 TOTAL_VOLUME = 20.0
 VOLUME_THRESHOLD = 10.0
@@ -58,53 +59,31 @@ def rock_expectation(theta_a: float, theta_b: float) -> float:
     return 2.0 * angular_distance(theta_a, theta_b) / math.pi - 1.0
 
 
-class RockModel(CoincidenceModel):
-    """Exploding-rock stations at configurable analyzer angles."""
-
-    def __init__(self, settings_a=(0.0, math.pi / 2), settings_b=(math.pi / 4, -math.pi / 4)):
-        self.settings_a = tuple(float(t) for t in settings_a)
-        self.settings_b = tuple(float(t) for t in settings_b)
-
-    def exact_distribution(self, i: int, j: int) -> Distribution:
-        e = rock_expectation(self.settings_a[i], self.settings_b[j])
-        same = (1.0 + e) / 4.0
-        diff = (1.0 - e) / 4.0
-        return {(+1, +1): same, (-1, -1): same, (+1, -1): diff, (-1, +1): diff}
+def _uniform_marginals(e: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The outcome-pair table with fair +/-1 marginals and correlation e."""
+    same, diff = (1.0 + e) / 4.0, (1.0 - e) / 4.0
+    return ((same, diff), (diff, same))
 
 
-class RodDiceModel(CoincidenceModel):
+def rock_model(settings_a=DEFAULT_ANGLES_A, settings_b=DEFAULT_ANGLES_B) -> CoincidenceModel:
+    """Exploding-rock stations at the given analyzer angles."""
+    settings_a = tuple(float(t) for t in settings_a)
+    settings_b = tuple(float(t) for t in settings_b)
+    tables = [[_uniform_marginals(rock_expectation(a, b)) for b in settings_b] for a in settings_a]
+    return CoincidenceModel(settings_a, settings_b, tables)
+
+
+def rod_dice_model() -> CoincidenceModel:
     """Rod-connected dice; settings are the two readout modes per side."""
-
-    settings_a = ("mode-1", "mode-2")
-    settings_b = ("mode-1", "mode-2")
-
-    def exact_distribution(self, i: int, j: int) -> Distribution:
-        if i == 1 and j == 1:
-            return {(+1, -1): 0.5, (-1, +1): 0.5, (+1, +1): 0.0, (-1, -1): 0.0}
-        return {(+1, +1): 0.5, (-1, -1): 0.5, (+1, -1): 0.0, (-1, +1): 0.0}
+    equal, opposite = _uniform_marginals(1.0), _uniform_marginals(-1.0)
+    modes = ("mode-1", "mode-2")
+    return CoincidenceModel(modes, modes, [[equal, equal], [equal, opposite]])
 
 
-class ConnectedVesselsModel(CoincidenceModel):
+def vessels_model() -> CoincidenceModel:
     """Connected vessels; setting 0 is the reference gauge R, setting 1 the
     siphon test S (+1 iff collected volume exceeds the 10 L threshold)."""
-
-    settings_a = ("reference", "siphon")
-    settings_b = ("reference", "siphon")
-
-    def exact_distribution(self, i: int, j: int) -> Distribution:
-        if i == 1 and j == 1:
-            return {(+1, -1): 0.5, (-1, +1): 0.5, (+1, +1): 0.0, (-1, -1): 0.0}
-        # any lone siphon drains the full 20 L, so every branch reports +1
-        return {(+1, +1): 1.0, (+1, -1): 0.0, (-1, +1): 0.0, (-1, -1): 0.0}
-
-
-def rock_model(settings_a=(0.0, math.pi / 2), settings_b=(math.pi / 4, -math.pi / 4)) -> RockModel:
-    return RockModel(settings_a, settings_b)
-
-
-def rod_dice_model() -> RodDiceModel:
-    return RodDiceModel()
-
-
-def vessels_model() -> ConnectedVesselsModel:
-    return ConnectedVesselsModel()
+    plus = ((1.0, 0.0), (0.0, 0.0))  # any lone siphon drains the full 20 L: (+1, +1)
+    settings = ("reference", "siphon")
+    tables = [[plus, plus], [plus, _uniform_marginals(-1.0)]]
+    return CoincidenceModel(settings, settings, tables)

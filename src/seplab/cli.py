@@ -97,7 +97,7 @@ class Param:
     - ``bool``: a JSON boolean, set by a flag that takes no value;
     - ``choice``: one of ``choices``;
     - ``angles``: a list of exactly 2 finite JSON numbers (radians);
-    - ``subset``: a non-empty list of ``choices``.
+    - ``subset``: a non-empty list of distinct ``choices``.
 
     The flag is ``--`` plus the name with ``_`` turned into ``-``; a list
     flag takes its elements comma-separated.
@@ -123,7 +123,7 @@ class Param:
             "bool": "true or false",
             "choice": f"one of {self.choices}",
             "angles": "a list of exactly 2 finite angles",
-            "subset": f"a non-empty list of {self.choices}",
+            "subset": f"a non-empty list of distinct {self.choices}",
         }[self.kind]
 
 
@@ -199,6 +199,7 @@ def _check(param: Param, value: Any) -> Any:
         else:
             value = list(value)
             ok = bool(value) and all(isinstance(x, str) and x in param.choices for x in value)
+            ok = ok and len(set(value)) == len(value)
     if not ok:
         raise ConfigError(f"{param.name!r} must be {param.expected()}")
     return value

@@ -29,10 +29,6 @@ class BadSpectrum(SeplabError):
     """Observable spectrum is not contained in {-1, +1} within tolerance."""
 
 
-class MissingDistribution(SeplabError):
-    """Coincidence model does not expose an exact joint distribution."""
-
-
 class UnknownTest(SeplabError):
     """Named test is not defined for this entity (or its current state)."""
 

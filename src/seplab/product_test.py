@@ -257,10 +257,8 @@ def epr_protocol(
         if name not in QUBIT_OBSERVABLES:
             raise UnknownTest(f"no qubit observable named {name!r}")
         pvm = pvm_from_operator(QUBIT_OBSERVABLES[name])
-        size = len(pvm.outcomes)
-        table = joint_measurement(pvm, pvm).probability_table(psi)
         weights, branches = [], []
-        for column in np.array(list(table.values())).reshape(size, size).T:
+        for column in joint_measurement(pvm, pvm).table(psi).T:
             weight = float(column.sum())
             if weight <= CERTAINTY_TOL:
                 continue  # a negligible B outcome is never drawn

@@ -154,6 +154,25 @@ def lhv_chsh_from_table(a_responses: np.ndarray, b_responses: np.ndarray, weight
     return e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]
 
 
+_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def horodecki_chsh_bound(psi: np.ndarray) -> float:
+    """Largest |S| that +/-1 spin settings in any directions reach on the
+    two-qubit state psi (Horodecki, Phys. Lett. A 200, 340, 1995):
+    2*sqrt(t1^2 + t2^2), with t1 >= t2 the top two singular values of the
+    correlation matrix T_kl = <psi| sigma_k (x) sigma_l |psi>."""
+    t = np.array(
+        [[np.vdot(psi, kron_loops(sk, sl) @ psi).real for sl in _PAULIS] for sk in _PAULIS]
+    )
+    t1, t2, _ = np.linalg.svd(t, compute_uv=False)
+    return 2.0 * math.sqrt(t1 * t1 + t2 * t2)
+
+
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (g + g.conj().T) / 2.0

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eig2_hermitian, lhv_chsh_from_table, random_state
-from seplab import bell
+from oracles import eig2_hermitian, horodecki_chsh_bound, lhv_chsh_from_table, random_state
 from seplab.bell import (
     DEFAULT_ANGLES_A,
     DEFAULT_ANGLES_B,
+    CoincidenceModel,
     chsh_exact,
     chsh_sampled,
     expectation,
@@ -18,7 +18,7 @@ from seplab.bell import (
     spin_observable,
 )
 from seplab.classical_models import rod_dice_model
-from seplab.errors import BadSpectrum, MissingDistribution
+from seplab.errors import BadSpectrum, InvalidArgument
 from seplab.hilbert import SIGMA_X, SIGMA_Z, Operator, StateVector
 
 ROOT_HALF = 1 / math.sqrt(2)
@@ -63,6 +63,8 @@ def test_chsh_exact_singlet_at_default_angles():
             assert abs(report.e_table[i][j]) <= 1.0 + 1e-9
     assert abs(report.s) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
     assert report.violates_classical and not report.violates_tsirelson
+    # the singlet reaches the Horodecki bound of its correlation matrix
+    assert horodecki_chsh_bound(SINGLET.amplitudes) == pytest.approx(abs(report.s), abs=1e-12)
 
 
 def test_chsh_exact_e_table_at_legacy_b_angles():
@@ -77,31 +79,31 @@ def test_chsh_exact_e_table_at_legacy_b_angles():
     assert e[1][1] == pytest.approx(-ROOT_HALF, abs=1e-12)
 
 
-def test_chsh_exact_needs_distributions():
-    class NoTable(bell.CoincidenceModel):
-        settings_a = (0, 1)
-        settings_b = (0, 1)
-
-    with pytest.raises(MissingDistribution):
-        chsh_exact(NoTable())
-    with pytest.raises(MissingDistribution):
-        chsh_sampled(NoTable(), 10, np.random.default_rng(0))
-    with pytest.raises(MissingDistribution):
-        no_signaling_residual(NoTable())
+def test_coincidence_model_checks_its_table():
+    cell = [[0.25, 0.25], [0.25, 0.25]]
+    with pytest.raises(InvalidArgument, match="shape"):
+        CoincidenceModel((0, 1), (0, 1), [[cell, cell]])
+    with pytest.raises(InvalidArgument, match="shape"):
+        CoincidenceModel((0,), (0,), [[[0.5, 0.5]]])
+    with pytest.raises(InvalidArgument, match="at least one setting"):
+        CoincidenceModel((), (0,), np.zeros((0, 1, 2, 2)))
+    with pytest.raises(InvalidArgument, match="finite"):
+        CoincidenceModel((0,), (0,), [[[[0.5, math.nan], [0.0, 0.5]]]])
+    source = np.array([[cell]])
+    model = CoincidenceModel(["x"], ["y"], source)
+    source[0, 0, 0, 0] = 1.0  # the model holds its own read-only copy
+    assert model.tables[0, 0, 0, 0] == 0.25
+    assert model.settings_a == ("x",)
+    with pytest.raises(ValueError):
+        model.tables[0, 0, 0, 0] = 1.0
 
 
 def test_model_with_only_a_table_is_sampled():
-    table = {(+1, +1): 0.4, (+1, -1): 0.1, (-1, +1): 0.2, (-1, -1): 0.3}
-
-    class TableOnly(bell.CoincidenceModel):
-        settings_a = ("x", "y")
-        settings_b = ("x", "y")
-
-        def exact_distribution(self, i, j):
-            return table
+    cell = [[0.4, 0.1], [0.2, 0.3]]  # rows: A = +1, -1; columns: B = +1, -1
+    model = CoincidenceModel(("x", "y"), ("x", "y"), [[cell, cell], [cell, cell]])
 
     n = 40_000
-    report = chsh_sampled(TableOnly(), n, np.random.default_rng(12))
+    report = chsh_sampled(model, n, np.random.default_rng(12))
     assert report.samples_per_cell == n
     e_exact = 0.4 + 0.3 - 0.1 - 0.2
     sigma = math.sqrt((1 - e_exact**2) / n)
@@ -117,6 +119,9 @@ def test_chsh_needs_two_settings_per_side():
         chsh_exact(model)
     with pytest.raises(ValueError):
         chsh_sampled(model, 10, np.random.default_rng(0))
+    with pytest.raises(InvalidArgument):
+        chsh_sampled(quantum_coincidence_model(SINGLET, DEFAULT_ANGLES_A, DEFAULT_ANGLES_B), 0,
+                     np.random.default_rng(0))
 
 
 def test_chsh_exact_rod_dice_through_uniform_interface():
@@ -127,17 +132,16 @@ def test_chsh_exact_rod_dice_through_uniform_interface():
 
 def test_quantum_model_aligned_singlet_distribution():
     model = quantum_coincidence_model(SINGLET, (0.3, 1.0), (0.3, 1.0))
-    dist = model.exact_distribution(0, 0)
-    assert dist[(+1, +1)] == pytest.approx(0.0, abs=1e-12)
-    assert dist[(-1, -1)] == pytest.approx(0.0, abs=1e-12)
-    assert dist[(+1, -1)] == pytest.approx(0.5, abs=1e-12)
-    assert dist[(-1, +1)] == pytest.approx(0.5, abs=1e-12)
+    table = model.tables[0, 0]  # index 0 is the outcome +1, index 1 is -1
+    assert table[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert table[1, 1] == pytest.approx(0.0, abs=1e-12)
+    assert table[0, 1] == pytest.approx(0.5, abs=1e-12)
+    assert table[1, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_quantum_model_product_eigenstate():
     model = quantum_coincidence_model(ZERO_ZERO, (0.0, 1.0), (0.0, 1.0))
-    dist = model.exact_distribution(0, 0)
-    assert dist[(+1, +1)] == pytest.approx(1.0, abs=1e-12)
+    assert model.tables[0, 0][0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def reduced_density_marginal(psi: np.ndarray, side: int, theta: float) -> dict[int, float]:
@@ -158,9 +162,8 @@ def test_singlet_marginals_uniform_at_every_setting():
     model = quantum_coincidence_model(SINGLET, (0.0, 0.7), (1.1, 2.3))
     for i in range(2):
         for j in range(2):
-            dist = model.exact_distribution(i, j)
-            for a in (+1, -1):
-                marg = sum(p for (x, _), p in dist.items() if x == a)
+            for k, a in enumerate((+1, -1)):
+                marg = float(model.tables[i, j][k].sum())
                 oracle = reduced_density_marginal(
                     SINGLET.amplitudes, 0, model.settings_a[i]
                 )[a]
@@ -215,6 +218,16 @@ def test_quantum_chsh_never_beats_tsirelson(seed):
     model = quantum_coincidence_model(psi, angles[:2], angles[2:])
     report = chsh_exact(model)
     assert abs(report.s) <= 2.0 * math.sqrt(2.0) + 1e-9
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_quantum_chsh_never_beats_horodecki_bound(seed):
+    rng = np.random.default_rng(seed)
+    psi = random_state(4, rng)
+    angles = rng.uniform(-2 * math.pi, 2 * math.pi, size=4)
+    report = chsh_exact(quantum_coincidence_model(StateVector(psi), angles[:2], angles[2:]))
+    assert abs(report.s) <= horodecki_chsh_bound(psi) + 1e-9
 
 
 def test_sampled_cells_track_exact_within_error_budget():

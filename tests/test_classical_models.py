@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,11 +13,10 @@ from oracles import (
     rock_pairs,
     vessels_pairs,
 )
-from seplab.bell import chsh_exact, chsh_sampled, correlation_from_distribution, no_signaling_residual
+from seplab.bell import chsh_exact, chsh_sampled, correlation, no_signaling_residual
 from seplab.classical_models import (
     TOTAL_VOLUME,
     VOLUME_THRESHOLD,
-    ConnectedVesselsModel,
     rock_expectation,
     rock_model,
     rod_dice_model,
@@ -50,16 +50,14 @@ def test_rock_expectation_matches_quadrature_and_monte_carlo():
         assert abs(est - closed) < 4 * stderr
 
 
-def test_rock_exact_distribution_has_uniform_marginals():
+def test_rock_exact_tables_have_uniform_marginals():
     model = rock_model()
     for i in range(2):
         for j in range(2):
-            dist = model.exact_distribution(i, j)
-            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
-            for a in (+1, -1):
-                assert sum(p for (x, _), p in dist.items() if x == a) == pytest.approx(
-                    0.5, abs=1e-12
-                )
+            table = model.tables[i, j]  # index 0 is the outcome +1, index 1 is -1
+            assert table.sum() == pytest.approx(1.0, abs=1e-12)
+            for k in range(2):
+                assert table[k].sum() == pytest.approx(0.5, abs=1e-12)
     assert no_signaling_residual(model) <= 1e-12
 
 
@@ -96,11 +94,11 @@ def test_rod_dice_expected_table_and_chsh():
     expected = [[1.0, 1.0], [1.0, -1.0]]
     for i in range(2):
         for j in range(2):
-            dist = model.exact_distribution(i, j)
-            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-15)
-            assert correlation_from_distribution(dist) == pytest.approx(expected[i][j])
-            for a in (+1, -1):
-                assert sum(p for (x, _), p in dist.items() if x == a) == 0.5
+            table = model.tables[i, j]
+            assert table.sum() == pytest.approx(1.0, abs=1e-15)
+            assert correlation(table) == pytest.approx(expected[i][j])
+            for k in range(2):
+                assert table[k].sum() == 0.5
     assert chsh_exact(model).s == pytest.approx(4.0, abs=1e-15)
     assert no_signaling_residual(model) <= 1e-15
 
@@ -117,10 +115,9 @@ def test_vessels_expected_table_and_chsh():
     expected = [[1.0, 1.0], [1.0, -1.0]]
     for i in range(2):
         for j in range(2):
-            dist = model.exact_distribution(i, j)
-            assert correlation_from_distribution(dist) == pytest.approx(expected[i][j])
+            assert correlation(model.tables[i, j]) == pytest.approx(expected[i][j])
     # the lone-siphon branch drains everything and reports (+1, +1)
-    assert model.exact_distribution(1, 0)[(+1, +1)] == 1.0
+    assert model.tables[1, 0][0, 0] == 1.0
     assert chsh_exact(model).s == pytest.approx(4.0, abs=1e-15)
 
 
@@ -162,8 +159,8 @@ def test_sampled_frequencies_match_exact_tables(factory, mechanism):
     for i in range(2):
         for j in range(2):
             pairs = mechanism_pairs(mechanism, i, j, n, rng)
-            dist = model.exact_distribution(i, j)
-            for (a, b), p in dist.items():
+            for (ka, a), (kb, b) in itertools.product(enumerate((+1, -1)), repeat=2):
+                p = model.tables[i, j][ka, kb]
                 freq = float(((pairs[:, 0] == a) & (pairs[:, 1] == b)).mean())
                 stderr = math.sqrt(max(p * (1 - p), 1e-9) / n)
                 assert abs(freq - p) < 4 * stderr + 1e-12
@@ -172,4 +169,4 @@ def test_sampled_frequencies_match_exact_tables(factory, mechanism):
 def test_volume_constants():
     assert TOTAL_VOLUME == 20.0
     assert VOLUME_THRESHOLD == 10.0
-    assert ConnectedVesselsModel.settings_b == ("reference", "siphon")
+    assert vessels_model().settings_b == ("reference", "siphon")

@@ -280,6 +280,8 @@ def test_aerts_dimension_product_capped(tmp_path, capsys):
         ("epr", "observables", {"params": {"observables": "ZX"}}),
         ("epr", "observables", {"params": {"observables": [["Z"]]}}),
         ("aerts", "dim_a", {"params": {"dim_a": 2.9}}),
+        ("epr", "observables", {"params": {"observables": ["Z", "Z"]}}),
+        ("epr", "observables", {"params": {"observables": ["X", "Y", "X"]}}),
     ],
 )
 def test_malformed_config_values_rejected_not_coerced(scenario, field, doc, tmp_path, capsys):
@@ -289,6 +291,15 @@ def test_malformed_config_values_rejected_not_coerced(scenario, field, doc, tmp_
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert field in err
+
+
+@pytest.mark.parametrize("observables", ["Z,Z", "X,Y,X", "Y, Y"])
+def test_repeated_observable_flag_exits_2(observables, capsys):
+    # a repeated name would draw that observable with double weight
+    assert cli.main(["epr", "--samples", "10", "--observables", observables]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "observables" in err and "distinct" in err
 
 
 @pytest.mark.parametrize(
