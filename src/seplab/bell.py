@@ -30,6 +30,7 @@ import numpy as np
 
 from .bipartite import joint_measurement
 from .errors import BadSpectrum, DimensionMismatch, InvalidArgument, NotHermitian
+from .hilbert import CHSH_BOUND_MARGIN, PROBABILITY_TOL, UNIT_TOL
 from .hilbert import SIGMA_X, SIGMA_Z, Operator, StateVector, tensor_op
 from .measurement import Pvm, pvm_from_operator
 
@@ -54,7 +55,7 @@ class CoincidenceModel:
     A model is its table: ``tables[i, j, a, b]`` is the probability of
     outcome pair (a, b) for setting pair (i, j), with index 0 the outcome +1
     and index 1 the outcome -1.  The array is a read-only float copy of the
-    one passed in.
+    one passed in; each cell is a distribution to within ``PROBABILITY_TOL``.
     """
 
     settings_a: tuple[object, ...]
@@ -72,13 +73,17 @@ class CoincidenceModel:
             raise InvalidArgument(f"tables have shape {tables.shape}, the settings need {shape}")
         if not np.isfinite(tables).all():
             raise InvalidArgument("table entries must be finite")
+        sums = tables.sum(axis=(2, 3))
+        if (tables < -PROBABILITY_TOL).any() or (abs(sums - 1.0) > PROBABILITY_TOL).any():
+            raise InvalidArgument("each cell's table must be a probability distribution")
         tables.flags.writeable = False
         object.__setattr__(self, "tables", tables)
 
 
 @dataclass(frozen=True)
 class ChshReport:
-    """2x2 correlation table plus the CHSH combination and bound comparisons."""
+    """2x2 correlation table plus the CHSH combination and bound comparisons;
+    |S| violates a bound when it exceeds it by more than ``CHSH_BOUND_MARGIN``."""
 
     e_table: tuple[tuple[float, float], tuple[float, float]]
     s: float
@@ -95,11 +100,11 @@ class ChshReport:
 
     @property
     def violates_classical(self) -> bool:
-        return abs(self.s) > CLASSICAL_BOUND
+        return abs(self.s) > CLASSICAL_BOUND + CHSH_BOUND_MARGIN
 
     @property
     def violates_tsirelson(self) -> bool:
-        return abs(self.s) > TSIRELSON_BOUND
+        return abs(self.s) > TSIRELSON_BOUND + CHSH_BOUND_MARGIN
 
 
 def chsh_combination(e: Sequence[Sequence[float]]) -> float:
@@ -114,11 +119,11 @@ def spin_observable(theta: float) -> Operator:
     )
 
 
-def _check_pm1_spectrum(O: Operator, tol: float = 1e-9) -> None:
+def _check_pm1_spectrum(O: Operator) -> None:
     if not O.is_hermitian():
         raise NotHermitian("observable must be hermitian")
     values = np.linalg.eigvalsh(O.entries)
-    if float(np.abs(np.abs(values) - 1.0).max()) > tol:
+    if float(np.abs(np.abs(values) - 1.0).max()) > UNIT_TOL:
         raise BadSpectrum(f"eigenvalues {values} are not +/-1")
 
 

@@ -23,12 +23,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonCommuting
-from .hilbert import StateVector, commutator_norm
+from .errors import DimensionMismatch, InvalidArgument, NonCommuting
+from .hilbert import COMMUTATION_TOL, StateVector, commutator_norm
 from .hilbert import tensor_op  # noqa: F401  bench/test_bench.py traces this binding
 from .measurement import Outcome, OutcomeLike, Pvm
-
-COMMUTATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,7 @@ class BipartiteSpace:
 
     def __post_init__(self) -> None:
         if self.dim_a < 1 or self.dim_b < 1:
-            raise ValueError("factor dimensions must be >= 1")
+            raise InvalidArgument("factor dimensions must be >= 1")
 
     @property
     def dim(self) -> int:

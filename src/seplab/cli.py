@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import __version__, bell, classical_models, measurement, product_test
+from . import __version__, bell, classical_models, hilbert, product_test
 from .bipartite import BipartiteSpace, schmidt
 from .errors import ConfigError, IoError, ScenarioError, SeplabError
 from .hilbert import DIM_CAP, Operator, StateVector, haar_projector, identity, tensor_op
@@ -142,7 +142,7 @@ PARAMS: dict[str, tuple[Param, ...]] = {
         Param("rank_a", "int", 1, "rank of the side A projector, below dim_a"),
         Param("rank_b", "int", 1, "rank of the side B projector, below dim_b"),
         Param("random_pair", "bool", False, "Haar-random projectors instead of basis ones"),
-        Param("tol", "float", measurement.POSSIBILITY_TOL, "possibility threshold of the verdict"),
+        Param("tol", "float", hilbert.POSSIBILITY_TOL, "possibility threshold of the verdict"),
     ),
     "chsh": (_STATE, _ANGLES_A, _ANGLES_B),
     "models": (
@@ -322,23 +322,18 @@ def _chsh_block(model: bell.CoincidenceModel, samples: int, rng: np.random.Gener
         "stderr": [list(row) for row in sampled.stderr],
         "s_sampled": sampled.s,
         "samples_per_cell": sampled.samples_per_cell,
-        "bound_line": _bound_line(exact.s),
+        "bound_line": _bound_line(exact),
     }
 
 
-def _bound_line(s: float) -> str:
-    magnitude = abs(s)
-    if magnitude > bell.TSIRELSON_BOUND + 1e-9:
-        return (
-            f"|S| = {magnitude:.4f} exceeds classical 2 and "
-            f"Tsirelson {bell.TSIRELSON_BOUND:.4f}"
-        )
-    if magnitude > bell.CLASSICAL_BOUND + 1e-9:
-        return (
-            f"|S| = {magnitude:.4f} exceeds classical 2, within "
-            f"Tsirelson {bell.TSIRELSON_BOUND:.4f}"
-        )
-    return f"|S| = {magnitude:.4f} within classical 2"
+def _bound_line(report: bell.ChshReport) -> str:
+    """The report's bound verdict in words, read from its violation flags."""
+    head, tsirelson = f"|S| = {abs(report.s):.4f}", f"Tsirelson {bell.TSIRELSON_BOUND:.4f}"
+    if report.violates_tsirelson:
+        return f"{head} exceeds classical 2 and {tsirelson}"
+    if report.violates_classical:
+        return f"{head} exceeds classical 2, within {tsirelson}"
+    return f"{head} within classical 2"
 
 
 def _run_chsh(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, Any]:

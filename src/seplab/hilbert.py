@@ -13,13 +13,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch, InvalidArgument, NotHermitian
 
 # Hard cap on space dimension; raise it consciously, not by accident.
 DIM_CAP = 64
 
-HERMITIAN_TOL = 1e-12
-PROJECTOR_TOL = 1e-10
+# Tolerances, every threshold of the package (residuals are max-entry magnitudes):
+HERMITIAN_TOL = 1e-12  # input operators are hermitian up to one rounding per entry
+# Looser than HERMITIAN_TOL: an eigh-built projector entry at dim 64 sums 64 rounded products.
+PROJECTOR_TOL = 1e-10  # P^H = P and P P = P; P_i P_j = 0; sum_k P_k = 1
+COMMUTATION_TOL = 1e-10  # [P, Q] of jointly measured projectors: projector products, as above
+POSSIBILITY_TOL = 1e-10  # a Born probability above this counts as possible, not as projector leak
+# Tighter than POSSIBILITY_TOL, so that a small but real branch of a given table still counts.
+PROBABILITY_TOL = 1e-12  # rounding of exact table probabilities: sums, negatives, null branches
+ZERO_NORM_TOL = 1e-14  # a vector shorter than this is zero and cannot be normalized
+EIGENVALUE_GROUPING_RTOL = 1e-9  # times max(1, ||O||), since eigh's errors scale with ||O||
+# Looser than the projector checks: it bounds what a caller passes in, not rounding.
+UNIT_TOL = 1e-9  # | |lambda| - 1 | of a +/-1 observable; | ||psi|| - 1 | of a unit state
+CLONING_DEFECT_TOL = 1e-10  # |c - c^2| of an identical pair is one inner product's rounding
+CHSH_BOUND_MARGIN = 1e-9  # |S| must pass a bound by more: the rock reaches S = -2 - 4e-16
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -40,11 +52,11 @@ class StateVector:
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 1:
-            raise ValueError(f"state vector must be 1-d, got shape {amps.shape}")
+            raise InvalidArgument(f"state vector must be 1-d, got shape {amps.shape}")
         if amps.shape[0] < 1:
-            raise ValueError("state vector needs dimension >= 1")
+            raise InvalidArgument("state vector needs dimension >= 1")
         if amps.shape[0] > DIM_CAP:
-            raise ValueError(f"dimension {amps.shape[0]} exceeds DIM_CAP={DIM_CAP}")
+            raise InvalidArgument(f"dimension {amps.shape[0]} exceeds DIM_CAP={DIM_CAP}")
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
     @property
@@ -64,25 +76,24 @@ class Operator:
     def __post_init__(self) -> None:
         m = np.array(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator must be square, got shape {m.shape}")
+            raise InvalidArgument(f"operator must be square, got shape {m.shape}")
         if m.shape[0] < 1:
-            raise ValueError("operator needs dimension >= 1")
+            raise InvalidArgument("operator needs dimension >= 1")
         if m.shape[0] > DIM_CAP:
-            raise ValueError(f"dimension {m.shape[0]} exceeds DIM_CAP={DIM_CAP}")
+            raise InvalidArgument(f"dimension {m.shape[0]} exceeds DIM_CAP={DIM_CAP}")
         object.__setattr__(self, "entries", _readonly(m))
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return float(np.abs(self.entries - self.entries.conj().T).max()) <= tol
+    def is_hermitian(self) -> bool:
+        return float(np.abs(self.entries - self.entries.conj().T).max()) <= HERMITIAN_TOL
 
-    def is_projector(self, tol: float = PROJECTOR_TOL) -> bool:
-        if not self.is_hermitian(tol):
-            return False
+    def is_projector(self) -> bool:
         m = self.entries
-        return float(np.abs(m @ m - m).max()) <= tol
+        hermitian = float(np.abs(m - m.conj().T).max()) <= PROJECTOR_TOL
+        return hermitian and float(np.abs(m @ m - m).max()) <= PROJECTOR_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +120,7 @@ class SpectralDecomposition:
 
 def basis_vector(dim: int, index: int) -> StateVector:
     if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dim {dim}")
+        raise InvalidArgument(f"basis index {index} out of range for dim {dim}")
     amps = np.zeros(dim, dtype=complex)
     amps[index] = 1.0
     return StateVector(amps)
@@ -145,8 +156,8 @@ SIGMA_Z = Operator(np.array([[1, 0], [0, -1]], dtype=complex))
 
 def normalize(v: StateVector) -> StateVector:
     n = v.norm()
-    if n < 1e-14:
-        raise ValueError("cannot normalize a (numerically) zero vector")
+    if n < ZERO_NORM_TOL:
+        raise InvalidArgument("cannot normalize a (numerically) zero vector")
     return StateVector(v.amplitudes / n)
 
 
@@ -168,19 +179,19 @@ def commutator_norm(A: Operator, B: Operator) -> float:
     return float(np.abs(c).max())
 
 
-def spectral_decomposition(O: Operator, grouping_rtol: float = 1e-9) -> SpectralDecomposition:
+def spectral_decomposition(O: Operator) -> SpectralDecomposition:
     """Eigenvalues and spectral projectors of a hermitian operator.
 
-    Eigenvalues closer than ``grouping_rtol * max(1, ||O||)`` are merged into
-    a single degenerate projector, so coarse-graining by outcome subsets sees
-    the correct ranks.  Raises :class:`NotHermitian` when the input fails the
-    hermiticity check.
+    Eigenvalues closer than ``EIGENVALUE_GROUPING_RTOL * max(1, ||O||)`` are
+    merged into a single degenerate projector, so coarse-graining by outcome
+    subsets sees the correct ranks.  Raises :class:`NotHermitian` when the
+    input fails the hermiticity check.
     """
     if not O.is_hermitian():
         raise NotHermitian("spectral decomposition needs a hermitian operator")
     values, vectors = np.linalg.eigh(O.entries)
     scale = max(1.0, float(np.abs(values).max()))
-    tol = grouping_rtol * scale
+    tol = EIGENVALUE_GROUPING_RTOL * scale
 
     pairs: list[tuple[float, Operator]] = []
     start = 0

@@ -15,14 +15,8 @@ from typing import Union
 import numpy as np
 
 from . import hilbert
-from .errors import DimensionMismatch, UnknownOutcome
-from .hilbert import Operator, StateVector
-
-# Born probabilities below this threshold count as "impossible outcome".
-POSSIBILITY_TOL = 1e-10
-
-ORTHOGONALITY_TOL = 1e-10
-COMPLETENESS_TOL = 1e-10
+from .errors import DimensionMismatch, InvalidArgument, UnknownOutcome
+from .hilbert import PROJECTOR_TOL, Operator, StateVector
 
 
 @dataclass(frozen=True)
@@ -48,7 +42,7 @@ class OutcomeSet:
     def __post_init__(self) -> None:
         labels = [o.label for o in self.outcomes]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"outcome labels must be distinct, got {labels}")
+            raise InvalidArgument(f"outcome labels must be distinct, got {labels}")
 
     def __iter__(self):
         return iter(self.outcomes)
@@ -73,8 +67,8 @@ class Pvm:
     """Projection-valued measure: one orthogonal projector per outcome.
 
     Construction validates the projector property of each element, mutual
-    orthogonality, and completeness (sum equals the identity), all at the
-    module tolerances.
+    orthogonality, and completeness (sum equals the identity), all within
+    ``PROJECTOR_TOL``.
     """
 
     outcomes: OutcomeSet
@@ -82,24 +76,24 @@ class Pvm:
 
     def __post_init__(self) -> None:
         if len(self.outcomes) != len(self.projectors):
-            raise ValueError("one projector per outcome required")
+            raise InvalidArgument("one projector per outcome required")
         if len(self.projectors) == 0:
-            raise ValueError("a measurement needs at least one outcome")
+            raise InvalidArgument("a measurement needs at least one outcome")
         dim = self.projectors[0].dim
         total = np.zeros((dim, dim), dtype=complex)
         for k, p in enumerate(self.projectors):
             if p.dim != dim:
                 raise DimensionMismatch("all projectors must share one dimension")
             if not p.is_projector():
-                raise ValueError(f"element {k} fails the projector check")
+                raise InvalidArgument(f"element {k} fails the projector check")
             total += p.entries
         for i in range(len(self.projectors)):
             for j in range(i + 1, len(self.projectors)):
                 cross = self.projectors[i].entries @ self.projectors[j].entries
-                if float(np.abs(cross).max()) > ORTHOGONALITY_TOL:
-                    raise ValueError(f"projectors {i} and {j} are not orthogonal")
-        if float(np.abs(total - np.eye(dim)).max()) > COMPLETENESS_TOL:
-            raise ValueError("projectors do not sum to the identity")
+                if float(np.abs(cross).max()) > PROJECTOR_TOL:
+                    raise InvalidArgument(f"projectors {i} and {j} are not orthogonal")
+        if float(np.abs(total - np.eye(dim)).max()) > PROJECTOR_TOL:
+            raise InvalidArgument("projectors do not sum to the identity")
 
     @property
     def dim(self) -> int:
@@ -122,8 +116,6 @@ def pvm_from_operator(O: Operator) -> Pvm:
 
 def binary_pvm(p: Operator, labels: tuple[str, str] = ("+", "-")) -> Pvm:
     """Two-outcome PVM {p, 1-p}; first label fires on the range of p."""
-    if not p.is_projector():
-        raise ValueError("binary_pvm needs a projector")
     complement = Operator(np.eye(p.dim) - p.entries)
     outcomes = OutcomeSet((Outcome(labels[0], +1.0), Outcome(labels[1], -1.0)))
     return Pvm(outcomes, (p, complement))

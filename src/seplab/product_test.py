@@ -26,10 +26,8 @@ import numpy as np
 
 from .bipartite import joint_measurement
 from .errors import DimensionMismatch, InvalidArgument, SeplabError, UnknownTest
-from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, StateVector
+from .hilbert import PROBABILITY_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, StateVector
 from .measurement import pvm_from_operator
-
-CERTAINTY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,8 @@ class TestableEntity:
         for test, by_state in self.tests.items():
             for state, branches in by_state.items():
                 total = sum(b.probability for b in branches)
-                if abs(total - 1.0) > 1e-12:
-                    raise ValueError(
+                if abs(total - 1.0) > PROBABILITY_TOL:
+                    raise InvalidArgument(
                         f"test {test!r} on state {state!r} sums to {total}"
                     )
 
@@ -93,7 +91,7 @@ def is_actual(entity: TestableEntity, test: str) -> PropertyCertificate:
     positive probability is positive.  Never transitions the entity; the
     certification is counterfactual."""
     branches = entity.branches(test)
-    actual = all(b.positive for b in branches if b.probability > CERTAINTY_TOL)
+    actual = all(b.positive for b in branches if b.probability > PROBABILITY_TOL)
     return PropertyCertificate((test,), actual, method="direct")
 
 
@@ -115,7 +113,7 @@ def _draw(
     test chosen uniformly at random, then one of its branches.  The entity
     does not move."""
     if len(tests) < 1:
-        raise ValueError("product test needs at least one constituent test")
+        raise InvalidArgument("product test needs at least one constituent test")
     selected = tests[int(rng.integers(len(tests)))]
     branches = entity.branches(selected)
     return selected, branches[_pick([b.probability for b in branches], rng.random())]
@@ -177,7 +175,7 @@ def wooden_cube(state: str = "intact") -> TestableEntity:
     """The wooden cube: burnable and floatable while intact, with mutually
     destructive tests (burning ends floatability, wetting ends burnability)."""
     if state not in ("intact", "wet", "burned"):
-        raise ValueError(f"unknown cube state {state!r}")
+        raise InvalidArgument(f"unknown cube state {state!r}")
     return TestableEntity("wooden-cube", state, _CUBE_TESTS)
 
 
@@ -244,11 +242,11 @@ def epr_protocol(
     prediction was certain in advance.
     """
     if rng is None:
-        raise ValueError("pass an explicit numpy Generator")
+        raise InvalidArgument("pass an explicit numpy Generator")
     if psi.dim != 4:
         raise DimensionMismatch(f"need a qubit pair (dim 4), got dim {psi.dim}")
     if not observables:
-        raise ValueError("need at least one observable name")
+        raise InvalidArgument("need at least one observable name")
     # Per observable, the exact (A outcome, B outcome) table fixes everything
     # a trial needs: each possible B outcome's weight, and the conditional
     # distribution of A given it with its argmax prediction and confidence.
@@ -260,7 +258,7 @@ def epr_protocol(
         weights, branches = [], []
         for column in joint_measurement(pvm, pvm).table(psi).T:
             weight = float(column.sum())
-            if weight <= CERTAINTY_TOL:
+            if weight <= PROBABILITY_TOL:
                 continue  # a negligible B outcome is never drawn
             cond = (column / weight).tolist()
             predicted = int(np.argmax(cond))
@@ -268,7 +266,8 @@ def epr_protocol(
             branches.append((cond, predicted, cond[predicted]))
         if not weights:
             raise InvalidArgument(
-                f"observable {name}: no B outcome above {CERTAINTY_TOL:g}: is the state normalized?"
+                f"observable {name}: no B outcome above {PROBABILITY_TOL:g}: "
+                "is the state normalized?"
             )
         plans.append((name, weights, sum(weights), branches))
 

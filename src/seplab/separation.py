@@ -22,10 +22,9 @@ import numpy as np
 
 from .bipartite import JointMeasurement, commuting_joint
 from .errors import DimensionMismatch, EmptySubspace, InvalidArgument, NonCommuting
+from .hilbert import CLONING_DEFECT_TOL, COMMUTATION_TOL, POSSIBILITY_TOL, UNIT_TOL
 from .hilbert import Operator, StateVector, commutator_norm
-from .measurement import POSSIBILITY_TOL, binary_pvm
-
-WITNESS_TOL = 1e-10
+from .measurement import binary_pvm
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +34,8 @@ class AertsWitness:
     ``subset_a`` / ``subset_b`` name the outcome subsets the two projectors
     coarse-grain over ("+" of the binary split unless the caller says
     otherwise).  ``residuals`` holds the named magnitudes computed by
-    :func:`verify_witness`; all of them must stay below ``WITNESS_TOL``.
+    :func:`verify_witness`; each is ~0 for a valid witness, and no bound is
+    enforced here: a caller compares them against its own tolerance.
     """
 
     subset_a: tuple[str, ...]
@@ -124,11 +124,11 @@ def construct_witness(
     """
     for name, p in (("p_a", p_a), ("p_b", p_b)):
         if not p.is_projector():
-            raise ValueError(f"{name} fails the projector check")
+            raise InvalidArgument(f"{name} fails the projector check")
     if p_a.dim != p_b.dim:
         raise DimensionMismatch(f"dims {p_a.dim} and {p_b.dim}")
     comm = commutator_norm(p_a, p_b)
-    if comm > WITNESS_TOL:
+    if comm > COMMUTATION_TOL:
         raise NonCommuting(f"[p_a, p_b] max entry {comm:.3e}")
 
     eye = np.eye(p_a.dim)
@@ -222,8 +222,8 @@ def no_cloning_witness(psi: StateVector, phi: StateVector) -> CloningCertificate
     if psi.dim != phi.dim:
         raise DimensionMismatch(f"dims {psi.dim} and {phi.dim}")
     for name, v in (("psi", psi), ("phi", phi)):
-        if abs(v.norm() - 1.0) > 1e-9:
-            raise ValueError(f"{name} must be normalized")
+        if abs(v.norm() - 1.0) > UNIT_TOL:
+            raise InvalidArgument(f"{name} must be normalized")
     c = float(abs(np.vdot(psi.amplitudes, phi.amplitudes)))
     defect = abs(c - c * c)
-    return CloningCertificate(overlap=c, defect=defect, impossible=defect > 1e-10)
+    return CloningCertificate(overlap=c, defect=defect, impossible=defect > CLONING_DEFECT_TOL)

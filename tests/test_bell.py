@@ -89,6 +89,12 @@ def test_coincidence_model_checks_its_table():
         CoincidenceModel((), (0,), np.zeros((0, 1, 2, 2)))
     with pytest.raises(InvalidArgument, match="finite"):
         CoincidenceModel((0,), (0,), [[[[0.5, math.nan], [0.0, 0.5]]]])
+    for bad in (np.zeros((2, 2, 2, 2)), np.full((2, 2, 2, 2), 0.5)):  # cells sum to 0 and 2
+        with pytest.raises(InvalidArgument, match="probability distribution"):
+            CoincidenceModel((0, 1), (0, 1), bad)
+    with pytest.raises(InvalidArgument, match="probability distribution"):
+        CoincidenceModel((0,), (0,), [[[[1.5, -0.5], [0.0, 0.0]]]])
+    CoincidenceModel((0,), (0,), [[[[0.5 + 1e-13, -1e-13], [0.25, 0.25]]]])  # rounding passes
     source = np.array([[cell]])
     model = CoincidenceModel(["x"], ["y"], source)
     source[0, 0, 0, 0] = 1.0  # the model holds its own read-only copy

@@ -13,6 +13,7 @@ from oracles import (
     rock_pairs,
     vessels_pairs,
 )
+from seplab import cli
 from seplab.bell import chsh_exact, chsh_sampled, correlation, no_signaling_residual
 from seplab.classical_models import (
     TOTAL_VOLUME,
@@ -87,6 +88,16 @@ def test_rock_hidden_variable_enumeration_respects_classical_bound():
         - e_grid[None, :, None, :]
     )
     assert float(np.abs(s).max()) <= 2.0 + 1e-6
+
+
+def test_rock_never_violates_the_classical_bound_on_the_pi_8_grid():
+    # rounding takes |S| to 2 + 4e-16 on some of these sets; the verdict must
+    # still be "within classical 2", in the report and in the CLI's line
+    grid = [k * math.pi / 8 for k in range(16)]
+    for a2, b1, b2 in itertools.product(grid, repeat=3):
+        report = chsh_exact(rock_model((0.0, a2), (b1, b2)))
+        assert not report.violates_classical, (a2, b1, b2, report.s)
+        assert cli._bound_line(report) == f"|S| = {abs(report.s):.4f} within classical 2"
 
 
 def test_rod_dice_expected_table_and_chsh():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seplab import cli
+from seplab import bell, cli
 from seplab.cli import Report, build_config, config_from_dict, emit, run
 from seplab.errors import ConfigError
 
@@ -86,6 +86,22 @@ def test_run_models_rod_dice_bound_line():
     block = report.results["rod-dice"]
     assert block["s_exact"] == pytest.approx(4.0)
     assert "exceeds classical 2 and Tsirelson" in block["bound_line"]
+
+
+@pytest.mark.parametrize(
+    "s, line",
+    [
+        (2.0 + 1e-10, "within classical 2"),
+        (-2.0 - 1e-8, "exceeds classical 2, within Tsirelson"),
+        (2 * math.sqrt(2) + 1e-10, "exceeds classical 2, within Tsirelson"),
+        (-4.0, "exceeds classical 2 and Tsirelson"),
+    ],
+)
+def test_bound_line_reads_the_report_verdict(s, line):
+    report = bell.ChshReport(e_table=((0.0, 0.0), (0.0, 0.0)), s=s)
+    assert line in cli._bound_line(report)
+    assert report.violates_classical == ("exceeds" in line)
+    assert report.violates_tsirelson == (" and " in line)
 
 
 def test_run_product_test_and_epr_and_no_cloning():

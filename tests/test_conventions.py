@@ -1,0 +1,94 @@
+"""Package-wide conventions: one tolerance table, one bad-argument error."""
+
+import ast
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from seplab import hilbert
+from seplab.bipartite import BipartiteSpace
+from seplab.errors import InvalidArgument
+from seplab.hilbert import Operator, StateVector, basis_vector, normalize
+from seplab.measurement import Outcome, OutcomeSet, Pvm, binary_pvm
+from seplab.product_test import Branch, TestableEntity, epr_protocol, meet_actual, wooden_cube
+from seplab.separation import construct_witness, no_cloning_witness
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "seplab"
+
+
+def _tolerance_table() -> dict[str, ast.Assign]:
+    """The run of ``NAME = <float>`` statements directly after ``DIM_CAP`` in
+    hilbert.py, keyed by name."""
+    body = ast.parse((SRC / "hilbert.py").read_text(encoding="utf-8")).body
+    start = next(k for k, node in enumerate(body) if ast.unparse(node).startswith("DIM_CAP = "))
+    table = {}
+    for node in body[start + 1:]:
+        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, float)):
+            break
+        table[node.targets[0].id] = node
+    return table
+
+
+def test_tolerance_table_is_the_only_place_with_a_tolerance():
+    table = _tolerance_table()
+    assert {"HERMITIAN_TOL", "PROJECTOR_TOL", "POSSIBILITY_TOL", "CHSH_BOUND_MARGIN"} <= set(table)
+    for name, node in table.items():
+        assert getattr(hilbert, name) == node.value.value
+    declared = {(node.value.lineno, node.value.col_offset) for node in table.values()}
+    strays = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    and 0 < abs(node.value) < 1e-6):
+                if path.name != "hilbert.py" or (node.lineno, node.col_offset) not in declared:
+                    strays.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not strays, f"tolerances outside the hilbert.py table: {strays}"
+
+
+def test_readme_lists_every_tolerance():
+    source = (SRC / "hilbert.py").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    bullet = " ".join(readme.split("\n- Tolerances", 1)[1].split("\n- ", 1)[0].split())
+    listed = set(re.findall(r"`([A-Z_]+ = [0-9.e-]+)`", bullet))
+    declared = {ast.get_source_segment(source, node) for node in _tolerance_table().values()}
+    assert listed == declared
+
+
+_UNIT = StateVector(np.array([1.0, 0.0]))
+_TWICE = Operator(2.0 * np.eye(2))
+_AB = OutcomeSet((Outcome("a"), Outcome("b")))
+_P0 = Operator(np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: StateVector(np.zeros((2, 2))),
+        lambda: StateVector(np.zeros(0)),
+        lambda: Operator(np.zeros((2, 3))),
+        lambda: Operator(np.zeros((hilbert.DIM_CAP + 1,) * 2)),
+        lambda: basis_vector(2, 2),
+        lambda: normalize(StateVector(np.zeros(2))),
+        lambda: OutcomeSet((Outcome("a"), Outcome("a"))),
+        lambda: Pvm(_AB, (_P0,)),
+        lambda: binary_pvm(_TWICE),
+        lambda: Pvm(_AB, (_P0, _P0)),
+        lambda: Pvm(_AB, (_P0, Operator(np.zeros((2, 2))))),
+        lambda: BipartiteSpace(0, 2),
+        lambda: TestableEntity("e", "s", {"t": {"s": (Branch(0.5, True, "s"),)}}),
+        lambda: wooden_cube("soggy"),
+        lambda: meet_actual(wooden_cube(), [], 1, np.random.default_rng(0)),
+        lambda: epr_protocol(StateVector(np.eye(4)[0]), rng=None),
+        lambda: epr_protocol(StateVector(np.eye(4)[0]), (), rng=np.random.default_rng(0)),
+        lambda: construct_witness(_TWICE, _P0, np.random.default_rng(0)),
+        lambda: no_cloning_witness(StateVector(np.array([math.sqrt(2.0), 0.0])), _UNIT),
+    ],
+)
+def test_bad_arguments_raise_invalid_argument(call):
+    with pytest.raises(InvalidArgument):
+        call()
