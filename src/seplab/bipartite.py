@@ -50,8 +50,9 @@ class JointMeasurement:
     ``pvm_a`` and ``pvm_b`` are the factor PVMs when built through
     ``joint_measurement`` (``space`` set), or same-space commuting PVMs when
     built through ``commuting_joint`` (``space`` is None).  Born
-    probabilities (``table``, ``probability``, ``probability_table``,
-    ``marginals``) contract the state with the projectors of each side.
+    probabilities (``table``, ``probability``, ``probability_table``)
+    contract the state with the projectors of each side; a marginal is a row
+    or column sum of ``table``, since both PVMs are complete.
     """
 
     pvm_a: Pvm
@@ -87,14 +88,13 @@ class JointMeasurement:
             return psi.amplitudes.reshape(self.space.dim_a, self.space.dim_b)
         return psi.amplitudes.reshape(self.dim, 1)
 
-    def _apply_b(self, m: np.ndarray) -> np.ndarray:
-        """Q_y applied to ``m`` for every y: Psi Q_y^T or Q_y psi."""
-        return m @ self._stack_b if self.space else self._stack_b @ m
-
     def table(self, psi: StateVector) -> np.ndarray:
         """Born probability of every couple, indexed [x, y] in PVM outcome
-        order: ||P_x (Q_y applied to the state)||^2."""
-        return _squared_norms(self._stack_a[:, None] @ self._apply_b(self._matrix(psi)))
+        order: ||P_x (Q_y applied to the state)||^2, with every Q_y applied
+        at once as Psi Q_y^T or Q_y psi."""
+        m = self._matrix(psi)
+        applied_b = m @ self._stack_b if self.space else self._stack_b @ m
+        return _squared_norms(self._stack_a[:, None] @ applied_b)
 
     def probability(self, psi: StateVector, x: OutcomeLike, y: OutcomeLike) -> float:
         i, j = self.pvm_a.outcomes.index(x), self.pvm_b.outcomes.index(y)
@@ -107,19 +107,6 @@ class JointMeasurement:
         form."""
         values = self.table(psi).ravel().tolist()
         return {(x.label, y.label): p for (x, y), p in zip(self.couples, values)}
-
-    def marginals(self, psi: StateVector) -> tuple[dict[str, float], dict[str, float]]:
-        """Per-side Born probabilities keyed by outcome label:
-        ||P_x Psi||_F^2 and ||Psi Q_y^T||_F^2 in tensor form (Psi as in
-        ``probability_table``), ||P_x psi||^2 and ||Q_y psi||^2 in commuting
-        form."""
-        m = self._matrix(psi)
-        probs_a = _squared_norms(self._stack_a @ m).tolist()
-        probs_b = _squared_norms(self._apply_b(m)).tolist()
-        return (
-            dict(zip(self.pvm_a.outcomes.labels, probs_a)),
-            dict(zip(self.pvm_b.outcomes.labels, probs_b)),
-        )
 
 
 def _squared_norms(v: np.ndarray) -> np.ndarray:

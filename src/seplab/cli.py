@@ -23,10 +23,11 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__, bell, classical_models, hilbert, product_test
-from .bipartite import BipartiteSpace, schmidt
+from .bipartite import BipartiteSpace, joint_measurement, schmidt
 from .errors import ConfigError, IoError, ScenarioError, SeplabError
 from .hilbert import DIM_CAP, Operator, StateVector, haar_projector, identity, tensor_op
-from .separation import construct_witness, no_cloning_witness, separation_verdict, witness_joint
+from .measurement import binary_pvm
+from .separation import construct_witness, no_cloning_witness, separation_verdict
 
 SCHEMA_VERSION = 1
 SEED_ENV_VAR = "SEPLAB_SEED"
@@ -291,7 +292,9 @@ def _run_aerts(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, An
     p_a = tensor_op(proj_a, identity(db))
     p_b = tensor_op(identity(da), proj_b)
     witness = construct_witness(p_a, p_b, rng)
-    verdict = separation_verdict(witness_joint(p_a, p_b), witness.psi, tol=p["tol"])
+    # the same joint in tensor form, validated at the factor dimensions
+    joint = joint_measurement(binary_pvm(proj_a), binary_pvm(proj_b))
+    verdict = separation_verdict(joint, witness.psi, tol=p["tol"])
     coeffs = [c for c, _, _ in schmidt(witness.psi, BipartiteSpace(da, db))]
     return {
         "dims": {"a": da, "b": db},

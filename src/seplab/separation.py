@@ -85,14 +85,6 @@ def _canonical_phase(amps: np.ndarray) -> np.ndarray:
     return amps * (pivot.conjugate() / abs(pivot))
 
 
-def _range_basis(product: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the range of a near-projector matrix."""
-    herm = (product + product.conj().T) / 2.0
-    values, vectors = np.linalg.eigh(herm)
-    keep = values > 0.5
-    return vectors[:, keep]
-
-
 def _random_unit_in(basis: np.ndarray, rng: np.random.Generator) -> StateVector:
     """Haar-random unit vector in the span of the basis columns, with the
     global phase fixed canonically so repeated runs are comparable."""
@@ -112,8 +104,11 @@ def construct_witness(
 ) -> AertsWitness:
     """Build a witness state for the commuting projector pair (p_a, p_b).
 
-    phi is drawn Haar-uniformly inside ``p_a (1-p_b) H`` and chi inside
-    ``(1-p_a) p_b H`` (deterministically from ``rng``, phases canonical),
+    Both halves come from one eigendecomposition of ``p_a - p_b``.  For
+    commuting projectors its spectrum lies in {-1, 0, +1}: the +1
+    eigenspace is ``p_a (1-p_b) H`` and the -1 eigenspace is
+    ``(1-p_a) p_b H``.  phi is drawn Haar-uniformly inside the first and chi
+    inside the second (deterministically from ``rng``, phases canonical),
     then ``psi = (phi + chi)/sqrt(2)``.  Raises :class:`NonCommuting` when
     the projectors fail to commute within tolerance and
     :class:`EmptySubspace` when either subspace has rank zero.  That means
@@ -131,11 +126,10 @@ def construct_witness(
     if comm > COMMUTATION_TOL:
         raise NonCommuting(f"[p_a, p_b] max entry {comm:.3e}")
 
-    eye = np.eye(p_a.dim)
-    sub_phi = p_a.entries @ (eye - p_b.entries)
-    sub_chi = (eye - p_a.entries) @ p_b.entries
-    basis_phi = _range_basis(sub_phi)
-    basis_chi = _range_basis(sub_chi)
+    # 0.5 is the midpoint between neighbouring eigenvalues, not a tolerance
+    values, vectors = np.linalg.eigh(p_a.entries - p_b.entries)
+    basis_phi = vectors[:, values > 0.5]
+    basis_chi = vectors[:, values < -0.5]
     if basis_phi.shape[1] == 0:
         raise EmptySubspace("p_a (1 - p_b) H has rank zero")
     if basis_chi.shape[1] == 0:
@@ -195,23 +189,25 @@ def separation_verdict(
     """Decide whether the two sides of ``joint`` act as separate measurements
     on ``psi``: every couple of marginally possible outcomes must be jointly
     possible above ``tol``."""
-    if psi.dim != joint.dim:
-        raise DimensionMismatch(f"state dim {psi.dim}, joint dim {joint.dim}")
-    marg_a, marg_b = joint.marginals(psi)
-    poss_a = tuple(x for x, p in marg_a.items() if p > tol)
-    poss_b = tuple(y for y, p in marg_b.items() if p > tol)
-    if not poss_a or not poss_b:
+    table = joint.table(psi)
+    # both PVMs are complete, so the row and column sums are the marginals
+    labels_a, labels_b = joint.pvm_a.outcomes.labels, joint.pvm_b.outcomes.labels
+    rows = [i for i, p in enumerate(table.sum(axis=1).tolist()) if p > tol]
+    cols = [j for j, p in enumerate(table.sum(axis=0).tolist()) if p > tol]
+    if not rows or not cols:
         raise InvalidArgument(f"no possible outcome above tol={tol:g}: is the state normalized?")
-    table = joint.probability_table(psi)
+    values = table.tolist()
     missing = tuple(
-        (x, y) for x in poss_a for y in poss_b if table[(x, y)] <= tol
+        (labels_a[i], labels_b[j]) for i in rows for j in cols if values[i][j] <= tol
     )
     return SeparationVerdict(
         separate=not missing,
-        possible_a=poss_a,
-        possible_b=poss_b,
+        possible_a=tuple(labels_a[i] for i in rows),
+        possible_b=tuple(labels_b[j] for j in cols),
         missing_couples=missing,
-        probabilities=table,
+        probabilities={
+            (x, y): p for x, row in zip(labels_a, values) for y, p in zip(labels_b, row)
+        },
         tol=tol,
     )
 
@@ -224,6 +220,6 @@ def no_cloning_witness(psi: StateVector, phi: StateVector) -> CloningCertificate
     for name, v in (("psi", psi), ("phi", phi)):
         if abs(v.norm() - 1.0) > UNIT_TOL:
             raise InvalidArgument(f"{name} must be normalized")
-    c = float(abs(np.vdot(psi.amplitudes, phi.amplitudes)))
+    c = float(abs(np.vdot(psi.amplitudes, phi.amplitudes))) / (psi.norm() * phi.norm())
     defect = abs(c - c * c)
     return CloningCertificate(overlap=c, defect=defect, impossible=defect > CLONING_DEFECT_TOL)

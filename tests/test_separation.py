@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import kron_loops, random_state
-from seplab.bipartite import joint_measurement
+from oracles import dense_joint_table, kron_loops, random_state
+from seplab.bipartite import commuting_joint, joint_measurement
 from seplab.errors import EmptySubspace, NonCommuting
 from seplab.hilbert import (
     SIGMA_X,
@@ -14,12 +14,13 @@ from seplab.hilbert import (
     Operator,
     StateVector,
     basis_vector,
+    haar_projector,
     identity,
     projector_onto,
     tensor_op,
     tensor_vec,
 )
-from seplab.measurement import pvm_from_operator
+from seplab.measurement import binary_pvm, pvm_from_operator
 from seplab.separation import (
     AertsWitness,
     construct_witness,
@@ -179,6 +180,88 @@ def test_every_admissible_pair_yields_a_nonseparable_witness(seed, tensor):
     assert verdict.possible_b == ("+", "-")
 
 
+def _ranked_commuting_pair(rng, tensor):
+    """A commuting projector pair with ranks that may be zero or full, and
+    the ranks of its halves p_a (1 - p_b) H and (1 - p_a) p_b H."""
+    if tensor:  # unequal factor dimensions, dim_a * dim_b <= 64
+        da = int(rng.integers(1, 9))
+        db = int(rng.choice([d for d in range(1, 64 // da + 1) if d != da]))
+        ra, rb = int(rng.integers(0, da + 1)), int(rng.integers(0, db + 1))
+        p_a = tensor_op(haar_projector(da, ra, rng), identity(db))
+        p_b = tensor_op(identity(da), haar_projector(db, rb, rng))
+        return p_a, p_b, ra * (db - rb), (da - ra) * rb
+    dim = int(rng.integers(1, 65))
+    mask_a = rng.integers(0, 2, size=dim).astype(bool)
+    mask_b = rng.integers(0, 2, size=dim).astype(bool)
+    p_a = Operator(np.diag(mask_a.astype(complex)))
+    p_b = Operator(np.diag(mask_b.astype(complex)))
+    return p_a, p_b, int((mask_a & ~mask_b).sum()), int((~mask_a & mask_b).sum())
+
+
+@given(seed=st.integers(0, 100_000), tensor=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_witness_halves_come_from_one_eigendecomposition(seed, tensor):
+    rng = np.random.default_rng(seed)
+    p_a, p_b, rank_phi, rank_chi = _ranked_commuting_pair(rng, tensor)
+    if rank_phi == 0 or rank_chi == 0:
+        with pytest.raises(EmptySubspace):
+            construct_witness(p_a, p_b, rng)
+        return
+    w = construct_witness(p_a, p_b, rng)
+    assert max(w.residuals.values()) < 1e-10
+
+
+def test_construct_witness_calls_eigh_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    qubit_witness()
+    assert len(calls) == 1
+
+
+@given(seed=st.integers(0, 100_000), tensor=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_verdict_sets_match_the_dense_table(seed, tensor):
+    rng = np.random.default_rng(seed)
+    if tensor:
+        da, db = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        ranks = [int(rng.integers(0, d + 1)) for d in (da, db)]
+        pvms = [
+            binary_pvm(identity(d) if r == d else haar_projector(d, r, rng))
+            for d, r in zip((da, db), ranks)
+        ]
+        joint, dim = joint_measurement(*pvms), da * db
+    else:  # ranks 0 and full included
+        p_a, p_b, rank_phi, rank_chi = _ranked_commuting_pair(rng, bool(rng.integers(2)))
+        joint, dim = commuting_joint(binary_pvm(p_a), binary_pvm(p_b)), p_a.dim
+    states = [random_state(dim, rng)]
+    if not tensor and rank_phi and rank_chi:  # a state with missing couples
+        states.append(construct_witness(p_a, p_b, rng).psi.amplitudes)
+    projs_a = [p.entries for p in joint.pvm_a.projectors]
+    projs_b = [q.entries for q in joint.pvm_b.projectors]
+    labels_a, labels_b = joint.pvm_a.outcomes.labels, joint.pvm_b.outcomes.labels
+    for psi in states:
+        dense = dense_joint_table(projs_a, projs_b, psi, tensor)
+        possible_a = {labels_a[i] for i in range(len(labels_a)) if dense[i].sum() > 1e-10}
+        possible_b = {labels_b[j] for j in range(len(labels_b)) if dense[:, j].sum() > 1e-10}
+        missing = {
+            (x, y)
+            for i, x in enumerate(labels_a)
+            for j, y in enumerate(labels_b)
+            if x in possible_a and y in possible_b and dense[i, j] <= 1e-10
+        }
+        verdict = separation_verdict(joint, StateVector(psi))
+        assert set(verdict.possible_a) == possible_a
+        assert set(verdict.possible_b) == possible_b
+        assert set(verdict.missing_couples) == missing
+        assert verdict.separate == (not missing)
+
+
 @given(seed=st.integers(0, 100_000))
 @settings(max_examples=40, deadline=None)
 def test_verdict_tolerance_monotonicity_and_consistency(seed):
@@ -214,3 +297,11 @@ def test_no_cloning_certificates():
     assert mixed.overlap == pytest.approx(ROOT_HALF, abs=1e-12)
     assert mixed.defect == pytest.approx(ROOT_HALF - 0.5, abs=1e-12)
     assert mixed.impossible
+
+
+def test_no_cloning_divides_the_overlap_by_both_norms():
+    # a norm within UNIT_TOL of 1 is accepted, so the pair must read as identical
+    v = StateVector([1 + 5e-10, 0])
+    same = no_cloning_witness(v, v)
+    assert same.overlap == pytest.approx(1.0, abs=1e-15)
+    assert not same.impossible
