@@ -29,9 +29,9 @@ from typing import Sequence
 import numpy as np
 
 from .bipartite import joint_measurement
-from .errors import BadSpectrum, DimensionMismatch, InvalidArgument, NotHermitian
-from .hilbert import CHSH_BOUND_MARGIN, PROBABILITY_TOL, UNIT_TOL
-from .hilbert import SIGMA_X, SIGMA_Z, Operator, StateVector, tensor_op
+from .errors import DimensionMismatch, InvalidArgument
+from .hilbert import CHSH_BOUND_MARGIN, PROBABILITY_TOL
+from .hilbert import SIGMA_X, SIGMA_Z, Operator, StateVector
 from .measurement import Pvm, pvm_from_operator
 
 CHSH_CONVENTION = "S = E(1,1) + E(1,2) + E(2,1) - E(2,2)"
@@ -117,25 +117,6 @@ def spin_observable(theta: float) -> Operator:
     return Operator(
         math.cos(theta) * SIGMA_Z.entries + math.sin(theta) * SIGMA_X.entries
     )
-
-
-def _check_pm1_spectrum(O: Operator) -> None:
-    if not O.is_hermitian():
-        raise NotHermitian("observable must be hermitian")
-    values = np.linalg.eigvalsh(O.entries)
-    if float(np.abs(np.abs(values) - 1.0).max()) > UNIT_TOL:
-        raise BadSpectrum(f"eigenvalues {values} are not +/-1")
-
-
-def expectation(psi: StateVector, A: Operator, B: Operator) -> float:
-    """<psi| A (x) B |psi> for +/-1-valued observables A and B."""
-    _check_pm1_spectrum(A)
-    _check_pm1_spectrum(B)
-    joint = tensor_op(A, B)
-    if joint.dim != psi.dim:
-        raise DimensionMismatch(f"A(x)B dim {joint.dim}, state dim {psi.dim}")
-    value = np.vdot(psi.amplitudes, joint.entries @ psi.amplitudes)
-    return float(value.real)
 
 
 def _plus_first(pvm: Pvm) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidArgument, NonCommuting
 from .hilbert import COMMUTATION_TOL, StateVector, commutator_norm
 from .hilbert import tensor_op  # noqa: F401  bench/test_bench.py traces this binding
-from .measurement import Outcome, OutcomeLike, Pvm
+from .measurement import Outcome, Pvm
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,10 @@ class JointMeasurement:
     ``pvm_a`` and ``pvm_b`` are the factor PVMs when built through
     ``joint_measurement`` (``space`` set), or same-space commuting PVMs when
     built through ``commuting_joint`` (``space`` is None).  Born
-    probabilities (``table``, ``probability``, ``probability_table``)
-    contract the state with the projectors of each side; a marginal is a row
-    or column sum of ``table``, since both PVMs are complete.
+    probabilities (``table``, indexed by outcome position, and
+    ``probability_table``, keyed by label) contract the state with the
+    projectors of each side; a marginal is a row or column sum of ``table``,
+    since both PVMs are complete.
     """
 
     pvm_a: Pvm
@@ -95,10 +96,6 @@ class JointMeasurement:
         m = self._matrix(psi)
         applied_b = m @ self._stack_b if self.space else self._stack_b @ m
         return _squared_norms(self._stack_a[:, None] @ applied_b)
-
-    def probability(self, psi: StateVector, x: OutcomeLike, y: OutcomeLike) -> float:
-        i, j = self.pvm_a.outcomes.index(x), self.pvm_b.outcomes.index(y)
-        return float(self.table(psi)[i, j])
 
     def probability_table(self, psi: StateVector) -> dict[tuple[str, str], float]:
         """Born probability of every couple, keyed by labels in ``couples``

@@ -13,20 +13,12 @@ class NotHermitian(SeplabError):
     """Operator fails the hermiticity check required by the operation."""
 
 
-class UnknownOutcome(SeplabError):
-    """Outcome label not present in the measurement's outcome set."""
-
-
 class NonCommuting(SeplabError):
     """Projector pair does not commute within tolerance."""
 
 
 class EmptySubspace(SeplabError):
     """A required witness subspace has rank zero for this projector pair."""
-
-
-class BadSpectrum(SeplabError):
-    """Observable spectrum is not contained in {-1, +1} within tolerance."""
 
 
 class UnknownTest(SeplabError):

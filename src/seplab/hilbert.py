@@ -29,7 +29,7 @@ PROBABILITY_TOL = 1e-12  # rounding of exact table probabilities: sums, negative
 ZERO_NORM_TOL = 1e-14  # a vector shorter than this is zero and cannot be normalized
 EIGENVALUE_GROUPING_RTOL = 1e-9  # times max(1, ||O||), since eigh's errors scale with ||O||
 # Looser than the projector checks: it bounds what a caller passes in, not rounding.
-UNIT_TOL = 1e-9  # | |lambda| - 1 | of a +/-1 observable; | ||psi|| - 1 | of a unit state
+UNIT_TOL = 1e-9  # | ||psi|| - 1 | of a state that must be a unit vector
 CLONING_DEFECT_TOL = 1e-10  # |c - c^2| of an identical pair is one inner product's rounding
 CHSH_BOUND_MARGIN = 1e-9  # |S| must pass a bound by more: the rock reaches S = -2 - 4e-16
 
@@ -96,25 +96,6 @@ class Operator:
         return hermitian and float(np.abs(m @ m - m).max()) <= PROJECTOR_TOL
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Eigenvalue/projector pairs of a hermitian operator.
-
-    Eigenvalues are strictly increasing after degenerate groups are merged;
-    the projectors are mutually orthogonal and sum to the identity.
-    """
-
-    pairs: tuple[tuple[float, Operator], ...]
-
-    @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(v for v, _ in self.pairs)
-
-    @property
-    def projectors(self) -> tuple[Operator, ...]:
-        return tuple(p for _, p in self.pairs)
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -179,13 +160,15 @@ def commutator_norm(A: Operator, B: Operator) -> float:
     return float(np.abs(c).max())
 
 
-def spectral_decomposition(O: Operator) -> SpectralDecomposition:
-    """Eigenvalues and spectral projectors of a hermitian operator.
+def spectral_decomposition(O: Operator) -> tuple[tuple[float, Operator], ...]:
+    """(eigenvalue, spectral projector) pairs of a hermitian operator.
 
     Eigenvalues closer than ``EIGENVALUE_GROUPING_RTOL * max(1, ||O||)`` are
     merged into a single degenerate projector, so coarse-graining by outcome
-    subsets sees the correct ranks.  Raises :class:`NotHermitian` when the
-    input fails the hermiticity check.
+    subsets sees the correct ranks.  After merging the eigenvalues are
+    strictly increasing and the projectors are mutually orthogonal and sum to
+    the identity.  Raises :class:`NotHermitian` when the input fails the
+    hermiticity check.
     """
     if not O.is_hermitian():
         raise NotHermitian("spectral decomposition needs a hermitian operator")
@@ -201,4 +184,4 @@ def spectral_decomposition(O: Operator) -> SpectralDecomposition:
             proj = Operator(block @ block.conj().T)
             pairs.append((float(values[start:k].mean()), proj))
             start = k
-    return SpectralDecomposition(tuple(pairs))
+    return tuple(pairs)

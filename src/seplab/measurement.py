@@ -1,21 +1,21 @@
 """Projection-valued measures and Born probabilities.
 
 A ``Pvm`` assigns one orthogonal projector per outcome, with the family
-summing to the identity.  Outcome labels optionally carry a real value so
-that +/-1-valued observables support correlation arithmetic downstream.
-Joint tables of two measurements are computed in ``bipartite``; nothing here
-draws outcomes or collapses states.
+summing to the identity.  Its outcomes are a tuple of labelled ``Outcome``
+values; a label optionally carries a real value so that +/-1-valued
+observables support correlation arithmetic downstream.  ``all_probabilities``
+is the Born rule of one PVM; joint tables of two measurements are computed in
+``bipartite``.  Nothing here draws outcomes or collapses states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from . import hilbert
-from .errors import DimensionMismatch, InvalidArgument, UnknownOutcome
+from .errors import DimensionMismatch, InvalidArgument
 from .hilbert import PROJECTOR_TOL, Operator, StateVector
 
 
@@ -30,51 +30,22 @@ class Outcome:
         return self.label
 
 
-OutcomeLike = Union[Outcome, str]
-
-
-@dataclass(frozen=True)
-class OutcomeSet:
-    """Finite ordered set of distinct outcomes."""
-
-    outcomes: tuple[Outcome, ...]
-
-    def __post_init__(self) -> None:
-        labels = [o.label for o in self.outcomes]
-        if len(set(labels)) != len(labels):
-            raise InvalidArgument(f"outcome labels must be distinct, got {labels}")
-
-    def __iter__(self):
-        return iter(self.outcomes)
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(o.label for o in self.outcomes)
-
-    def index(self, x: OutcomeLike) -> int:
-        label = x.label if isinstance(x, Outcome) else x
-        for k, o in enumerate(self.outcomes):
-            if o.label == label:
-                return k
-        raise UnknownOutcome(f"outcome {label!r} not in {self.labels}")
-
-
 @dataclass(frozen=True, eq=False)
 class Pvm:
     """Projection-valued measure: one orthogonal projector per outcome.
 
-    Construction validates the projector property of each element, mutual
-    orthogonality, and completeness (sum equals the identity), all within
-    ``PROJECTOR_TOL``.
+    Construction validates that the outcome labels are distinct, the
+    projector property of each element, mutual orthogonality, and
+    completeness (sum equals the identity), all within ``PROJECTOR_TOL``.
     """
 
-    outcomes: OutcomeSet
+    outcomes: tuple[Outcome, ...]
     projectors: tuple[Operator, ...]
 
     def __post_init__(self) -> None:
+        labels = self.labels
+        if len(set(labels)) != len(labels):
+            raise InvalidArgument(f"outcome labels must be distinct, got {list(labels)}")
         if len(self.outcomes) != len(self.projectors):
             raise InvalidArgument("one projector per outcome required")
         if len(self.projectors) == 0:
@@ -99,8 +70,9 @@ class Pvm:
     def dim(self) -> int:
         return self.projectors[0].dim
 
-    def projector_for(self, x: OutcomeLike) -> Operator:
-        return self.projectors[self.outcomes.index(x)]
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(o.label for o in self.outcomes)
 
 
 def pvm_from_operator(O: Operator) -> Pvm:
@@ -109,25 +81,20 @@ def pvm_from_operator(O: Operator) -> Pvm:
     Degenerate eigenvalues are merged (see ``spectral_decomposition``), so one
     outcome per distinct eigenvalue.
     """
-    dec = hilbert.spectral_decomposition(O)
-    outcomes = tuple(Outcome(f"{v:+.12g}", v) for v, _ in dec.pairs)
-    return Pvm(OutcomeSet(outcomes), dec.projectors)
+    values, projectors = zip(*hilbert.spectral_decomposition(O))
+    return Pvm(tuple(Outcome(f"{v:+.12g}", v) for v in values), projectors)
 
 
 def binary_pvm(p: Operator, labels: tuple[str, str] = ("+", "-")) -> Pvm:
     """Two-outcome PVM {p, 1-p}; first label fires on the range of p."""
     complement = Operator(np.eye(p.dim) - p.entries)
-    outcomes = OutcomeSet((Outcome(labels[0], +1.0), Outcome(labels[1], -1.0)))
+    outcomes = (Outcome(labels[0], +1.0), Outcome(labels[1], -1.0))
     return Pvm(outcomes, (p, complement))
 
 
-def born_probability(m: Pvm, psi: StateVector, x: OutcomeLike) -> float:
-    """||P_x psi||^2."""
+def all_probabilities(m: Pvm, psi: StateVector) -> tuple[float, ...]:
+    """Born probability ||P_k psi||^2 of every outcome, in outcome order."""
     if m.dim != psi.dim:
         raise DimensionMismatch(f"pvm dim {m.dim}, state dim {psi.dim}")
-    projected = m.projector_for(x).entries @ psi.amplitudes
-    return float(np.real(np.vdot(projected, projected)))
-
-
-def all_probabilities(m: Pvm, psi: StateVector) -> tuple[float, ...]:
-    return tuple(born_probability(m, psi, o) for o in m.outcomes)
+    projected = (p.entries @ psi.amplitudes for p in m.projectors)
+    return tuple(float(np.real(np.vdot(v, v))) for v in projected)

@@ -106,14 +106,17 @@ def _pick(weights: Sequence[float], u: float) -> int:
     return len(weights) - 1
 
 
+def _require_tests(tests: Sequence[str]) -> None:
+    if len(tests) < 1:
+        raise InvalidArgument("product test needs at least one constituent test")
+
+
 def _draw(
     entity: TestableEntity, tests: Sequence[str], rng: np.random.Generator
 ) -> tuple[str, Branch]:
     """One product-test draw on the entity's current state: a constituent
     test chosen uniformly at random, then one of its branches.  The entity
     does not move."""
-    if len(tests) < 1:
-        raise InvalidArgument("product test needs at least one constituent test")
     selected = tests[int(rng.integers(len(tests)))]
     branches = entity.branches(selected)
     return selected, branches[_pick([b.probability for b in branches], rng.random())]
@@ -125,6 +128,7 @@ def product_test(
     """Select one of the tests uniformly at random and execute it once,
     transitioning the entity.  A single-entry list degenerates to direct
     execution."""
+    _require_tests(tests)
     selected, chosen = _draw(entity, tests, rng)
     entity.current = chosen.next_state
     return ProductTestResult(selected, chosen.positive, chosen.next_state)
@@ -143,6 +147,7 @@ def meet_actual(
     trial moves, and double-checks the equivalence (a positive verdict with
     any failing trial is a corpus bug and raises).
     """
+    _require_tests(tests)
     actual = all(is_actual(entity, t).actual for t in tests)
     positives = sum(_draw(entity, tests, rng)[1].positive for _ in range(trials))
     if actual and positives != trials:

@@ -31,15 +31,11 @@ from .measurement import binary_pvm
 class AertsWitness:
     """Witness tuple for non-separability of a commuting projector pair.
 
-    ``subset_a`` / ``subset_b`` name the outcome subsets the two projectors
-    coarse-grain over ("+" of the binary split unless the caller says
-    otherwise).  ``residuals`` holds the named magnitudes computed by
-    :func:`verify_witness`; each is ~0 for a valid witness, and no bound is
-    enforced here: a caller compares them against its own tolerance.
+    ``residuals`` holds the named magnitudes computed by :func:`verify_witness`;
+    each is ~0 for a valid witness, and no bound is enforced here: a caller
+    compares them against its own tolerance.
     """
 
-    subset_a: tuple[str, ...]
-    subset_b: tuple[str, ...]
     phi: StateVector
     chi: StateVector
     psi: StateVector
@@ -95,13 +91,7 @@ def _random_unit_in(basis: np.ndarray, rng: np.random.Generator) -> StateVector:
     return StateVector(_canonical_phase(v))
 
 
-def construct_witness(
-    p_a: Operator,
-    p_b: Operator,
-    rng: np.random.Generator,
-    subset_a: tuple[str, ...] = ("+",),
-    subset_b: tuple[str, ...] = ("+",),
-) -> AertsWitness:
+def construct_witness(p_a: Operator, p_b: Operator, rng: np.random.Generator) -> AertsWitness:
     """Build a witness state for the commuting projector pair (p_a, p_b).
 
     Both halves come from one eigendecomposition of ``p_a - p_b``.  For
@@ -138,13 +128,14 @@ def construct_witness(
     phi = _random_unit_in(basis_phi, rng)
     chi = _random_unit_in(basis_chi, rng)
     psi = StateVector((phi.amplitudes + chi.amplitudes) / np.sqrt(2.0))
-    witness = AertsWitness(subset_a, subset_b, phi, chi, psi, {})
-    residuals = verify_witness(witness, p_a, p_b)
-    return AertsWitness(subset_a, subset_b, phi, chi, psi, residuals)
+    return AertsWitness(phi, chi, psi, verify_witness(phi, chi, psi, p_a, p_b))
 
 
-def verify_witness(w: AertsWitness, p_a: Operator, p_b: Operator) -> dict[str, float]:
-    """Residual report for the witness identities; every entry must be ~0.
+def verify_witness(
+    phi: StateVector, chi: StateVector, psi: StateVector, p_a: Operator, p_b: Operator
+) -> dict[str, float]:
+    """Residual report for the witness identities of the halves phi, chi and
+    the state psi; every entry must be ~0.
 
     The halves: applying p_a (or the complement of p_b) to psi returns
     phi/sqrt(2), and symmetrically chi/sqrt(2).  The crosses: the couple
@@ -154,7 +145,7 @@ def verify_witness(w: AertsWitness, p_a: Operator, p_b: Operator) -> dict[str, f
     eye = np.eye(p_a.dim)
     pa, pb = p_a.entries, p_b.entries
     ca, cb = eye - pa, eye - pb
-    phi, chi, psi = w.phi.amplitudes, w.chi.amplitudes, w.psi.amplitudes
+    phi, chi, psi = phi.amplitudes, chi.amplitudes, psi.amplitudes
     root2 = np.sqrt(2.0)
 
     def dist(vec: np.ndarray, target: np.ndarray) -> float:
@@ -191,7 +182,7 @@ def separation_verdict(
     possible above ``tol``."""
     table = joint.table(psi)
     # both PVMs are complete, so the row and column sums are the marginals
-    labels_a, labels_b = joint.pvm_a.outcomes.labels, joint.pvm_b.outcomes.labels
+    labels_a, labels_b = joint.pvm_a.labels, joint.pvm_b.labels
     rows = [i for i, p in enumerate(table.sum(axis=1).tolist()) if p > tol]
     cols = [j for j, p in enumerate(table.sum(axis=0).tolist()) if p > tol]
     if not rows or not cols:

@@ -12,14 +12,14 @@ from seplab.bell import (
     CoincidenceModel,
     chsh_exact,
     chsh_sampled,
-    expectation,
+    correlation,
     no_signaling_residual,
     quantum_coincidence_model,
     spin_observable,
 )
 from seplab.classical_models import rod_dice_model
-from seplab.errors import BadSpectrum, InvalidArgument
-from seplab.hilbert import SIGMA_X, SIGMA_Z, Operator, StateVector
+from seplab.errors import InvalidArgument
+from seplab.hilbert import SIGMA_X, SIGMA_Z, StateVector
 
 ROOT_HALF = 1 / math.sqrt(2)
 SINGLET = StateVector(np.array([0, ROOT_HALF, -ROOT_HALF, 0]))
@@ -27,14 +27,11 @@ ZERO_ZERO = StateVector(np.array([1, 0, 0, 0]))
 
 
 def test_expectation_examples():
-    assert expectation(SINGLET, SIGMA_Z, SIGMA_Z) == pytest.approx(-1.0, abs=1e-12)
-    assert expectation(SINGLET, SIGMA_Z, SIGMA_X) == pytest.approx(0.0, abs=1e-12)
-    assert expectation(ZERO_ZERO, SIGMA_Z, SIGMA_Z) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_expectation_rejects_bad_spectrum():
-    with pytest.raises(BadSpectrum):
-        expectation(SINGLET, Operator(np.diag([2.0, -1.0])), SIGMA_Z)
+    # spin angle 0 is Z and pi/2 is X: E(Z, Z) and E(Z, X)
+    singlet = correlation(quantum_coincidence_model(SINGLET, (0.0,), (0.0, math.pi / 2)).tables)
+    assert singlet[0] == pytest.approx([-1.0, 0.0], abs=1e-12)
+    product = correlation(quantum_coincidence_model(ZERO_ZERO, (0.0,), (0.0,)).tables)
+    assert product[0][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spin_observable_axes_and_spectrum():

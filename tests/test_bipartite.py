@@ -31,14 +31,7 @@ from seplab.hilbert import (
     tensor_op,
     tensor_vec,
 )
-from seplab.measurement import (
-    Outcome,
-    OutcomeSet,
-    Pvm,
-    all_probabilities,
-    born_probability,
-    pvm_from_operator,
-)
+from seplab.measurement import Outcome, Pvm, all_probabilities, pvm_from_operator
 from seplab.separation import separation_verdict, witness_joint
 
 Z_PVM = pvm_from_operator(SIGMA_Z)
@@ -109,7 +102,7 @@ def test_schmidt_reconstructs_the_state(seed, da, db):
 def _flatten(joint, projs_a, projs_b, tensor: bool) -> Pvm:
     """The couple family of ``joint`` as one PVM over labels ``x|y``, from
     dense couple projectors; the Pvm constructor checks the family."""
-    outcomes = OutcomeSet(tuple(Outcome(f"{x.label}|{y.label}") for x, y in joint.couples))
+    outcomes = tuple(Outcome(f"{x.label}|{y.label}") for x, y in joint.couples)
     couples = dense_couple_projectors(projs_a, projs_b, tensor)
     return Pvm(outcomes, tuple(Operator(c) for c in couples))
 
@@ -119,7 +112,7 @@ def test_joint_flattens_to_a_valid_pvm():
     z, x = [p.entries for p in Z_PVM.projectors], [p.entries for p in X_PVM.projectors]
     joint = joint_measurement(Z_PVM, X_PVM)
     flat = _flatten(joint, z, x, tensor=True)
-    assert flat.outcomes.labels == ("-1|-1", "-1|+1", "+1|-1", "+1|+1")
+    assert flat.labels == ("-1|-1", "-1|+1", "+1|-1", "+1|+1")
     table = list(joint.probability_table(psi).values())
     assert table == pytest.approx(all_probabilities(flat, psi), abs=1e-12)
     lifted_z = [np.kron(p, np.eye(2)) for p in z]
@@ -149,11 +142,12 @@ def test_marginal_consistency(seed):
         psi.amplitudes,
         tensor=True,
     )
-    for x, expected in zip(ma.outcomes, exp_a):
-        total = sum(joint.probability(psi, x, y) for y in mb.outcomes)
+    table = joint.table(psi)
+    for i, expected in enumerate(exp_a):
+        total = sum(table[i, j] for j in range(len(mb.outcomes)))
         assert total == pytest.approx(expected, abs=1e-10)
-    for y, expected in zip(mb.outcomes, exp_b):
-        total = sum(joint.probability(psi, x, y) for x in ma.outcomes)
+    for j, expected in enumerate(exp_b):
+        total = sum(table[i, j] for i in range(len(ma.outcomes)))
         assert total == pytest.approx(expected, abs=1e-10)
 
 
@@ -168,10 +162,10 @@ def test_product_states_factorize(seed):
     phi_a = StateVector(random_state(da, rng))
     phi_b = StateVector(random_state(db, rng))
     psi = tensor_vec(phi_a, phi_b)
-    for x in ma.outcomes:
-        for y in mb.outcomes:
-            expected = born_probability(ma, phi_a, x) * born_probability(mb, phi_b, y)
-            assert joint.probability(psi, x, y) == pytest.approx(expected, abs=1e-10)
+    table = joint.table(psi)
+    for i, p_x in enumerate(all_probabilities(ma, phi_a)):
+        for j, p_y in enumerate(all_probabilities(mb, phi_b)):
+            assert table[i, j] == pytest.approx(p_x * p_y, abs=1e-10)
 
 
 # Factor dimensions with dim_a * dim_b <= 64, trivial factors included.
@@ -203,12 +197,10 @@ def _assert_matches_dense(joint, psi: np.ndarray, tensor: bool) -> None:
     np.testing.assert_allclose(
         np.array(list(table.values())).reshape(expected.shape), expected, rtol=0, atol=1e-12
     )
-    for i, x in enumerate(joint.pvm_a.outcomes):
-        for j, y in enumerate(joint.pvm_b.outcomes):
-            assert abs(joint.probability(state, x, y) - expected[i, j]) <= 1e-12
+    probs = joint.table(state)
+    np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-12)
     # the marginals are the row and column sums of the table
     exp_a, exp_b = dense_marginals(projs_a, projs_b, psi, tensor)
-    probs = joint.table(state)
     np.testing.assert_allclose(probs.sum(axis=1), exp_a, rtol=0, atol=1e-12)
     np.testing.assert_allclose(probs.sum(axis=0), exp_b, rtol=0, atol=1e-12)
 
@@ -281,5 +273,3 @@ def test_contraction_rejects_a_state_of_the_wrong_dimension():
     for call in (joint.table, joint.probability_table):
         with pytest.raises(DimensionMismatch):
             call(psi)
-    with pytest.raises(DimensionMismatch):
-        joint.probability(psi, "+1", "+1")

@@ -12,7 +12,7 @@ from seplab import hilbert
 from seplab.bipartite import BipartiteSpace
 from seplab.errors import InvalidArgument
 from seplab.hilbert import Operator, StateVector, basis_vector, normalize
-from seplab.measurement import Outcome, OutcomeSet, Pvm, binary_pvm
+from seplab.measurement import Outcome, Pvm, binary_pvm
 from seplab.product_test import Branch, TestableEntity, epr_protocol, meet_actual, wooden_cube
 from seplab.separation import construct_witness, no_cloning_witness
 
@@ -61,8 +61,9 @@ def test_readme_lists_every_tolerance():
 
 _UNIT = StateVector(np.array([1.0, 0.0]))
 _TWICE = Operator(2.0 * np.eye(2))
-_AB = OutcomeSet((Outcome("a"), Outcome("b")))
+_AB = (Outcome("a"), Outcome("b"))
 _P0 = Operator(np.diag([1.0, 0.0]))
+_P1 = Operator(np.diag([0.0, 1.0]))
 
 
 @pytest.mark.parametrize(
@@ -74,7 +75,7 @@ _P0 = Operator(np.diag([1.0, 0.0]))
         lambda: Operator(np.zeros((hilbert.DIM_CAP + 1,) * 2)),
         lambda: basis_vector(2, 2),
         lambda: normalize(StateVector(np.zeros(2))),
-        lambda: OutcomeSet((Outcome("a"), Outcome("a"))),
+        lambda: Pvm((Outcome("a"), Outcome("a")), (_P0, _P1)),
         lambda: Pvm(_AB, (_P0,)),
         lambda: binary_pvm(_TWICE),
         lambda: Pvm(_AB, (_P0, _P0)),
@@ -87,6 +88,7 @@ _P0 = Operator(np.diag([1.0, 0.0]))
         lambda: epr_protocol(StateVector(np.eye(4)[0]), (), rng=np.random.default_rng(0)),
         lambda: construct_witness(_TWICE, _P0, np.random.default_rng(0)),
         lambda: no_cloning_witness(StateVector(np.array([math.sqrt(2.0), 0.0])), _UNIT),
+        lambda: meet_actual(wooden_cube(), [], 0, np.random.default_rng(0)),  # no trial to draw
     ],
 )
 def test_bad_arguments_raise_invalid_argument(call):

@@ -69,38 +69,39 @@ def test_tensor_op_of_projectors_is_projector():
 
 
 def test_spectral_sigma_z():
-    dec = spectral_decomposition(SIGMA_Z)
-    assert dec.eigenvalues == (-1.0, 1.0)
-    np.testing.assert_allclose(dec.projectors[0].entries, np.diag([0, 1]), atol=1e-12)
-    np.testing.assert_allclose(dec.projectors[1].entries, np.diag([1, 0]), atol=1e-12)
+    values, projectors = zip(*spectral_decomposition(SIGMA_Z))
+    assert values == (-1.0, 1.0)
+    np.testing.assert_allclose(projectors[0].entries, np.diag([0, 1]), atol=1e-12)
+    np.testing.assert_allclose(projectors[1].entries, np.diag([1, 0]), atol=1e-12)
 
 
 def test_spectral_identity_merges_degenerate_eigenvalues():
-    dec = spectral_decomposition(identity(2))
-    assert len(dec.pairs) == 1
-    assert dec.eigenvalues[0] == pytest.approx(1.0)
-    np.testing.assert_allclose(dec.projectors[0].entries, np.eye(2), atol=1e-12)
+    pairs = spectral_decomposition(identity(2))
+    assert len(pairs) == 1
+    value, projector = pairs[0]
+    assert value == pytest.approx(1.0)
+    np.testing.assert_allclose(projector.entries, np.eye(2), atol=1e-12)
 
 
 def test_spectral_sigma_x_against_closed_form_eigensolve():
     oracle = eig2_hermitian(SIGMA_X.entries)
-    dec = spectral_decomposition(SIGMA_X)
-    assert dec.eigenvalues == pytest.approx([v for v, _ in oracle], abs=1e-12)
-    for (_, vec), proj in zip(oracle, dec.projectors):
+    values, projectors = zip(*spectral_decomposition(SIGMA_X))
+    assert values == pytest.approx([v for v, _ in oracle], abs=1e-12)
+    for (_, vec), proj in zip(oracle, projectors):
         np.testing.assert_allclose(proj.entries, np.outer(vec, vec.conj()), atol=1e-12)
     # frozen values: projectors onto (1, -1)/sqrt(2) and (1, 1)/sqrt(2)
     np.testing.assert_allclose(
-        dec.projectors[0].entries, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12
+        projectors[0].entries, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12
     )
     np.testing.assert_allclose(
-        dec.projectors[1].entries, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12
+        projectors[1].entries, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12
     )
 
 
 def test_spectral_groups_degenerate_pairs():
-    dec = spectral_decomposition(tensor_op(SIGMA_Z, SIGMA_Z))
-    assert dec.eigenvalues == pytest.approx([-1.0, 1.0], abs=1e-12)
-    ranks = [int(round(np.trace(p.entries).real)) for p in dec.projectors]
+    values, projectors = zip(*spectral_decomposition(tensor_op(SIGMA_Z, SIGMA_Z)))
+    assert values == pytest.approx([-1.0, 1.0], abs=1e-12)
+    ranks = [int(round(np.trace(p.entries).real)) for p in projectors]
     assert ranks == [2, 2]
 
 
@@ -149,16 +150,17 @@ def test_dimension_cap_enforced():
 def test_spectral_reconstruction_and_projector_family(seed, dim):
     rng = np.random.default_rng(seed)
     op = Operator(random_hermitian(dim, rng))
-    dec = spectral_decomposition(op)
-    assert all(b > a for a, b in zip(dec.eigenvalues, dec.eigenvalues[1:]))
+    pairs = spectral_decomposition(op)
+    values, projectors = zip(*pairs)
+    assert all(b > a for a, b in zip(values, values[1:]))
     total = np.zeros((dim, dim), dtype=complex)
-    for i, p in enumerate(dec.projectors):
+    for i, p in enumerate(projectors):
         assert p.is_projector()
         total += p.entries
-        for q in dec.projectors[i + 1:]:
+        for q in projectors[i + 1:]:
             assert np.abs(p.entries @ q.entries).max() <= 1e-10
     assert np.abs(total - np.eye(dim)).max() <= 1e-10
-    rebuilt = sum(v * p.entries for v, p in dec.pairs)
+    rebuilt = sum(v * p.entries for v, p in pairs)
     assert np.abs(rebuilt - op.entries).max() <= 1e-9
 
 

@@ -6,17 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import random_hermitian, random_state
-from seplab.errors import DimensionMismatch, UnknownOutcome
+from seplab.errors import DimensionMismatch
 from seplab.hilbert import SIGMA_X, SIGMA_Z, Operator, StateVector, basis_vector
-from seplab.measurement import (
-    Outcome,
-    OutcomeSet,
-    Pvm,
-    all_probabilities,
-    binary_pvm,
-    born_probability,
-    pvm_from_operator,
-)
+from seplab.measurement import Outcome, Pvm, all_probabilities, binary_pvm, pvm_from_operator
 
 Z_PVM = pvm_from_operator(SIGMA_Z)
 X_PVM = pvm_from_operator(SIGMA_X)
@@ -25,12 +17,12 @@ PLUS = StateVector(np.array([1, 1]) / math.sqrt(2))
 
 
 def test_pvm_from_operator_outcome_labels_carry_eigenvalues():
-    assert Z_PVM.outcomes.labels == ("-1", "+1")
+    assert Z_PVM.labels == ("-1", "+1")
     assert [o.value for o in Z_PVM.outcomes] == [-1.0, 1.0]
 
 
 def test_pvm_rejects_non_projector_and_incomplete_families():
-    outcomes = OutcomeSet((Outcome("a"), Outcome("b")))
+    outcomes = (Outcome("a"), Outcome("b"))
     with pytest.raises(ValueError):
         Pvm(outcomes, (Operator(np.diag([1.0, 0.5])), Operator(np.diag([0.0, 0.5]))))
     half = Operator(np.diag([1.0, 0.0]))
@@ -47,7 +39,7 @@ def test_pvm_orthogonality_check_at_dim_64(seed, levels):
     spectrum = np.repeat(np.arange(levels), 64 // levels)
     m = pvm_from_operator(Operator((unitary * spectrum) @ unitary.conj().T))
     assert len(m.outcomes) == levels
-    outcomes = OutcomeSet(tuple(Outcome(str(k)) for k in range(levels)))
+    outcomes = tuple(Outcome(str(k)) for k in range(levels))
     width = 64 // levels
 
     def family(eps):
@@ -64,28 +56,28 @@ def test_pvm_orthogonality_check_at_dim_64(seed, levels):
 
 
 def test_outcome_labels_must_be_distinct():
-    with pytest.raises(ValueError):
-        OutcomeSet((Outcome("x"), Outcome("x")))
+    family = (Operator(np.diag([1.0, 0.0])), Operator(np.diag([0.0, 1.0])))
+    with pytest.raises(ValueError, match="distinct"):
+        Pvm((Outcome("x"), Outcome("x")), family)
 
 
 def test_born_probability_examples():
-    assert born_probability(Z_PVM, ZERO, "+1") == pytest.approx(1.0, abs=1e-12)
-    assert born_probability(Z_PVM, PLUS, "+1") == pytest.approx(0.5, abs=1e-12)
+    # outcomes in eigenvalue order: index 0 is -1, index 1 is +1
+    assert all_probabilities(Z_PVM, ZERO) == pytest.approx((0.0, 1.0), abs=1e-12)
+    assert all_probabilities(Z_PVM, PLUS) == pytest.approx((0.5, 0.5), abs=1e-12)
     # |<+|0>|^2 = 1/2 by direct inner product with (1,1)/sqrt(2)
-    assert born_probability(X_PVM, ZERO, "+1") == pytest.approx(0.5, abs=1e-12)
+    assert all_probabilities(X_PVM, ZERO)[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_born_probability_errors():
-    with pytest.raises(UnknownOutcome):
-        born_probability(Z_PVM, ZERO, "nope")
     with pytest.raises(DimensionMismatch):
-        born_probability(Z_PVM, basis_vector(4, 0), "+1")
+        all_probabilities(Z_PVM, basis_vector(4, 0))
 
 
 def test_binary_pvm_structure():
     p = Operator(np.diag([1.0, 0.0]))
     m = binary_pvm(p)
-    assert m.outcomes.labels == ("+", "-")
+    assert m.labels == ("+", "-")
     np.testing.assert_allclose(m.projectors[1].entries, np.diag([0, 1]), atol=1e-12)
     with pytest.raises(ValueError):
         binary_pvm(SIGMA_X)
@@ -113,5 +105,5 @@ def test_expectation_round_trip_through_spectral_pvm(seed, dim):
     m = pvm_from_operator(op)
     psi = StateVector(random_state(dim, rng))
     direct = float(np.real(np.vdot(psi.amplitudes, op.entries @ psi.amplitudes)))
-    spectral = sum(o.value * born_probability(m, psi, o) for o in m.outcomes)
+    spectral = sum(o.value * p for o, p in zip(m.outcomes, all_probabilities(m, psi)))
     assert spectral == pytest.approx(direct, abs=1e-9)

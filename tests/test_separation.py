@@ -59,8 +59,7 @@ def test_qubit_witness_residuals_vanish():
 
 def test_witness_swap_symmetry():
     w = qubit_witness()
-    swapped = AertsWitness(w.subset_b, w.subset_a, w.chi, w.phi, w.psi, {})
-    swapped_residuals = verify_witness(swapped, P_B_QUBIT, P_A_QUBIT)
+    swapped_residuals = verify_witness(w.chi, w.phi, w.psi, P_B_QUBIT, P_A_QUBIT)
     assert sorted(swapped_residuals.values()) == pytest.approx(
         sorted(w.residuals.values()), abs=1e-12
     )
@@ -128,9 +127,9 @@ def test_verdict_probability_oracle_agreement():
     mb = pvm_from_operator(SIGMA_X)
     joint = joint_measurement(ma, mb)
     verdict = separation_verdict(joint, psi)
-    for x in ma.outcomes:
-        for y in mb.outcomes:
-            proj = kron_loops(ma.projector_for(x).entries, mb.projector_for(y).entries)
+    for i, x in enumerate(ma.outcomes):
+        for j, y in enumerate(mb.outcomes):
+            proj = kron_loops(ma.projectors[i].entries, mb.projectors[j].entries)
             vec = proj @ psi.amplitudes
             assert verdict.probabilities[(x.label, y.label)] == pytest.approx(
                 float(np.real(np.vdot(vec, vec))), abs=1e-12
@@ -244,7 +243,7 @@ def test_verdict_sets_match_the_dense_table(seed, tensor):
         states.append(construct_witness(p_a, p_b, rng).psi.amplitudes)
     projs_a = [p.entries for p in joint.pvm_a.projectors]
     projs_b = [q.entries for q in joint.pvm_b.projectors]
-    labels_a, labels_b = joint.pvm_a.outcomes.labels, joint.pvm_b.outcomes.labels
+    labels_a, labels_b = joint.pvm_a.labels, joint.pvm_b.labels
     for psi in states:
         dense = dense_joint_table(projs_a, projs_b, psi, tensor)
         possible_a = {labels_a[i] for i in range(len(labels_a)) if dense[i].sum() > 1e-10}
