@@ -1,43 +1,67 @@
 #!/usr/bin/env python3
 """Stress the witness construction across factor dimensions and ranks.
 
-For every factor-dimension pair in range, draw seeded random projector pairs
-(both tensor-embedded and merely commuting), build the witness, and tabulate
-the worst identity residual and the separability verdicts.  Everything below
-1e-10 and zero separable verdicts is the expected outcome at any dimension.
+For every factor-dimension pair in range, each trial draws two seeded random
+binary joint measurements: a tensor-form joint of Haar projectors of random
+ranks at the factor dimensions, and a same-space joint of two projectors
+diagonal in one Haar basis of dimension d_a * d_b (through ``witness_joint``).
+It builds the witness of each and tabulates the worst identity residual per
+form and the separable verdicts of both.  Everything below 1e-10 and zero
+separable verdicts is the expected outcome at any dimension.
 """
 
 import argparse
 
 import numpy as np
 
-from seplab.hilbert import haar_projector, identity, tensor_op
+from seplab.bipartite import joint_measurement
+from seplab.hilbert import Operator, haar_projector
+from seplab.measurement import binary_pvm
 from seplab.separation import construct_witness, separation_verdict, witness_joint
+
+
+def common_eigenbasis_joint(dim: int, rng: np.random.Generator):
+    """Binary joint of two projectors diagonal in one Haar basis; basis
+    vector 0 lies in P_A only and vector 1 in P_B only, so both cross
+    couples are nonzero."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    mask_a = rng.integers(0, 2, size=dim).astype(bool)
+    mask_b = rng.integers(0, 2, size=dim).astype(bool)
+    mask_a[:2], mask_b[:2] = (True, False), (False, True)
+    p_a, p_b = (Operator(q[:, m] @ q[:, m].conj().T) for m in (mask_a, mask_b))
+    return witness_joint(p_a, p_b)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=20, help="pairs per dimension cell")
+    parser.add_argument("--trials", type=int, default=20, help="pairs per dimension cell and form")
     parser.add_argument("--max-dim", type=int, default=4, help="largest factor dimension")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    print(f"{'dims':>7} {'trials':>7} {'worst residual':>16} {'separable':>10}")
+    print(f"{'dims':>7} {'trials':>7} {'tensor residual':>16} {'commuting residual':>19} "
+          f"{'separable':>10}")
     for d_a in range(2, args.max_dim + 1):
         for d_b in range(2, args.max_dim + 1):
-            worst = 0.0
+            worst = {"tensor": 0.0, "commuting": 0.0}
             separable = 0
             for _ in range(args.trials):
                 r_a = int(rng.integers(1, d_a))
                 r_b = int(rng.integers(1, d_b))
-                p_a = tensor_op(haar_projector(d_a, r_a, rng), identity(d_b))
-                p_b = tensor_op(identity(d_a), haar_projector(d_b, r_b, rng))
-                witness = construct_witness(p_a, p_b, rng)
-                worst = max(worst, max(witness.residuals.values()))
-                verdict = separation_verdict(witness_joint(p_a, p_b), witness.psi)
-                separable += int(verdict.separate)
-            print(f"{d_a}x{d_b:>5} {args.trials:>7} {worst:>16.3e} {separable:>10}")
+                joints = {
+                    "tensor": joint_measurement(
+                        binary_pvm(haar_projector(d_a, r_a, rng)),
+                        binary_pvm(haar_projector(d_b, r_b, rng)),
+                    ),
+                    "commuting": common_eigenbasis_joint(d_a * d_b, rng),
+                }
+                for form, joint in joints.items():
+                    witness = construct_witness(joint, rng)
+                    worst[form] = max(worst[form], max(witness.residuals.values()))
+                    separable += int(separation_verdict(joint, witness.psi).separate)
+            print(f"{d_a}x{d_b:>5} {args.trials:>7} {worst['tensor']:>16.3e} "
+                  f"{worst['commuting']:>19.3e} {separable:>10}")
 
 
 if __name__ == "__main__":

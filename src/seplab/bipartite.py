@@ -14,6 +14,9 @@ Psi[i, j]), so that (P (x) Q) psi is the row-major flattening of P Psi Q^T and
     P(x, y) = ||P_x Psi Q_y^T||_F^2.
 
 In commuting form the PVMs act on psi itself: P(x, y) = ||P_x (Q_y psi)||^2.
+
+Before the squared norm, the same contraction is ``project``: the state under
+every couple projector.  ``ranks`` holds tr(P_x Q_y) for every couple.
 """
 
 from __future__ import annotations
@@ -89,19 +92,35 @@ class JointMeasurement:
             return psi.amplitudes.reshape(self.space.dim_a, self.space.dim_b)
         return psi.amplitudes.reshape(self.dim, 1)
 
-    def table(self, psi: StateVector) -> np.ndarray:
-        """Born probability of every couple, indexed [x, y] in PVM outcome
-        order: ||P_x (Q_y applied to the state)||^2, with every Q_y applied
-        at once as Psi Q_y^T or Q_y psi."""
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """tr(P_x Q_y), the rank of every couple projector, indexed [x, y]; in
+        tensor form the product tr(P_x) tr(Q_y) of the factor traces."""
+        subscripts = "xii,yjj->xy" if self.space else "xij,yji->xy"
+        ranks = np.einsum(subscripts, self._stack_a, self._stack_b).real
+        ranks.setflags(write=False)
+        return ranks
+
+    def _applied(self, psi: StateVector) -> np.ndarray:
+        """P_x (Q_y applied to the state matrix) indexed [x, y, ...]: every Q_y
+        is applied at once, as Psi Q_y^T or Q_y psi."""
         m = self._matrix(psi)
         applied_b = m @ self._stack_b if self.space else self._stack_b @ m
-        return _squared_norms(self._stack_a[:, None] @ applied_b)
+        return self._stack_a[:, None] @ applied_b
+
+    def project(self, psi: StateVector) -> np.ndarray:
+        """The unnormalised state under every couple projector, indexed
+        [x, y, k] in PVM outcome order; k follows the amplitudes of psi."""
+        applied = self._applied(psi)
+        return applied.reshape(*applied.shape[:2], self.dim)
+
+    def table(self, psi: StateVector) -> np.ndarray:
+        """Born probability of every couple, indexed [x, y] in PVM outcome
+        order: the squared norms of ``project``."""
+        return _squared_norms(self._applied(psi))
 
     def probability_table(self, psi: StateVector) -> dict[tuple[str, str], float]:
-        """Born probability of every couple, keyed by labels in ``couples``
-        order: ||P_x Psi Q_y^T||_F^2 in tensor form, with Psi the row-major
-        dim_a x dim_b reshape of psi, and ||P_x (Q_y psi)||^2 in commuting
-        form."""
+        """``table`` as a dict keyed by the labels of ``couples``, in order."""
         values = self.table(psi).ravel().tolist()
         return {(x.label, y.label): p for (x, y), p in zip(self.couples, values)}
 
@@ -122,10 +141,8 @@ def commuting_joint(m_a: Pvm, m_b: Pvm) -> JointMeasurement:
 
     Every projector of one side must commute with every projector of the
     other within ``COMMUTATION_TOL``; otherwise the couple projectors would
-    not form a PVM.
+    not form a PVM.  ``commutator_norm`` rejects unequal dimensions.
     """
-    if m_a.dim != m_b.dim:
-        raise DimensionMismatch(f"dims {m_a.dim} and {m_b.dim}")
     worst = max(
         commutator_norm(p, q) for p in m_a.projectors for q in m_b.projectors
     )

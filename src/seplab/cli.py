@@ -23,9 +23,9 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__, bell, classical_models, hilbert, product_test
-from .bipartite import BipartiteSpace, joint_measurement, schmidt
+from .bipartite import joint_measurement, schmidt
 from .errors import ConfigError, IoError, ScenarioError, SeplabError
-from .hilbert import DIM_CAP, Operator, StateVector, haar_projector, identity, tensor_op
+from .hilbert import DIM_CAP, Operator, StateVector, haar_projector
 from .measurement import binary_pvm
 from .separation import construct_witness, no_cloning_witness, separation_verdict
 
@@ -273,10 +273,7 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
 # scenario implementations
 
 def _basis_projector(dim: int, rank: int) -> Operator:
-    m = np.zeros((dim, dim), dtype=complex)
-    for k in range(rank):
-        m[k, k] = 1.0
-    return Operator(m)
+    return Operator(np.diag(np.arange(dim) < rank).astype(complex))
 
 
 def _run_aerts(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, Any]:
@@ -289,13 +286,11 @@ def _run_aerts(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, An
     else:
         proj_a = _basis_projector(da, p["rank_a"])
         proj_b = _basis_projector(db, p["rank_b"])
-    p_a = tensor_op(proj_a, identity(db))
-    p_b = tensor_op(identity(da), proj_b)
-    witness = construct_witness(p_a, p_b, rng)
-    # the same joint in tensor form, validated at the factor dimensions
+    # one tensor-form joint, validated at the factor dimensions
     joint = joint_measurement(binary_pvm(proj_a), binary_pvm(proj_b))
+    witness = construct_witness(joint, rng)
     verdict = separation_verdict(joint, witness.psi, tol=p["tol"])
-    coeffs = [c for c, _, _ in schmidt(witness.psi, BipartiteSpace(da, db))]
+    coeffs = [c for c, _, _ in schmidt(witness.psi, joint.space)]
     return {
         "dims": {"a": da, "b": db},
         "ranks": {"a": p["rank_a"], "b": p["rank_b"]},

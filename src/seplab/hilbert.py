@@ -121,6 +121,8 @@ def haar_projector(dim: int, rank: int, rng: np.random.Generator) -> Operator:
     """Haar-random rank-``rank`` projector: the span of the first ``rank``
     columns of the QR factor of a complex Gaussian matrix.  Draws the real
     parts, then the imaginary parts, from ``rng``."""
+    if not 0 <= rank <= dim:
+        raise InvalidArgument(f"rank {rank} out of range for dim {dim}")
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(g)
     block = q[:, :rank]

@@ -54,6 +54,8 @@ class TestableEntity:
     def __post_init__(self) -> None:
         for test, by_state in self.tests.items():
             for state, branches in by_state.items():
+                if any(b.probability < -PROBABILITY_TOL for b in branches):
+                    raise InvalidArgument(f"test {test!r} on state {state!r} has a branch below 0")
                 total = sum(b.probability for b in branches)
                 if abs(total - 1.0) > PROBABILITY_TOL:
                     raise InvalidArgument(

@@ -1,16 +1,18 @@
 """Separability of joint measurements, witness states, and a cloning obstruction.
 
 Two measurements executed together count as separate when every couple of
-individually possible outcomes stays jointly possible.  For any commuting
-projector pair (P_A, P_B) whose subspaces ``P_A (1-P_B) H`` and
-``(1-P_A) P_B H`` are both nonzero, the superposition
+individually possible outcomes stays jointly possible.  For a joint
+measurement of two binary experiments {P_A, 1-P_A} and {P_B, 1-P_B} whose
+cross couple subspaces ``P_A (1-P_B) H`` and ``(1-P_A) P_B H`` are both
+nonzero, the superposition
 
     psi = (phi + chi) / sqrt(2),   phi in P_A (1-P_B) H,  chi in (1-P_A) P_B H
 
 has both outcomes possible on each side while the couples (+,+) and (-,-)
-carry zero probability, so the verdict is never "separate".  This module
-builds such witnesses, checks the defining identities numerically, and
-renders the verdict for arbitrary states and joint measurements.
+carry zero probability, so the verdict is never "separate".  The witness and
+the verdict read one ``JointMeasurement``: its couple ranks decide whether
+the witness exists, its couple projections draw the halves and check the
+identities, and its table renders the verdict for arbitrary states.
 """
 
 from __future__ import annotations
@@ -21,15 +23,14 @@ from typing import Mapping
 import numpy as np
 
 from .bipartite import JointMeasurement, commuting_joint
-from .errors import DimensionMismatch, EmptySubspace, InvalidArgument, NonCommuting
-from .hilbert import CLONING_DEFECT_TOL, COMMUTATION_TOL, POSSIBILITY_TOL, UNIT_TOL
-from .hilbert import Operator, StateVector, commutator_norm
+from .errors import DimensionMismatch, EmptySubspace, InvalidArgument
+from .hilbert import CLONING_DEFECT_TOL, POSSIBILITY_TOL, UNIT_TOL, Operator, StateVector
 from .measurement import binary_pvm
 
 
 @dataclass(frozen=True, eq=False)
 class AertsWitness:
-    """Witness tuple for non-separability of a commuting projector pair.
+    """Witness tuple for non-separability of a binary joint measurement.
 
     ``residuals`` holds the named magnitudes computed by :func:`verify_witness`;
     each is ~0 for a valid witness, and no bound is enforced here: a caller
@@ -74,98 +75,76 @@ class CloningCertificate:
     impossible: bool
 
 
-def _canonical_phase(amps: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the largest-magnitude entry is real positive."""
-    k = int(np.argmax(np.abs(amps)))
-    pivot = amps[k]
-    return amps * (pivot.conjugate() / abs(pivot))
+def _canonical_unit(v: np.ndarray) -> StateVector:
+    """v normalised, with the global phase rotated so that the
+    largest-magnitude entry is real positive; repeated runs are comparable."""
+    pivot = v[int(np.argmax(np.abs(v)))]
+    return StateVector(v * (pivot.conjugate() / abs(pivot)) / np.linalg.norm(v))
 
 
-def _random_unit_in(basis: np.ndarray, rng: np.random.Generator) -> StateVector:
-    """Haar-random unit vector in the span of the basis columns, with the
-    global phase fixed canonically so repeated runs are comparable."""
-    rank = basis.shape[1]
-    coeffs = rng.normal(size=rank) + 1j * rng.normal(size=rank)
-    v = basis @ coeffs
-    v = v / np.linalg.norm(v)
-    return StateVector(_canonical_phase(v))
+def construct_witness(joint: JointMeasurement, rng: np.random.Generator) -> AertsWitness:
+    """Build a witness state for a joint of two binary measurements.
 
-
-def construct_witness(p_a: Operator, p_b: Operator, rng: np.random.Generator) -> AertsWitness:
-    """Build a witness state for the commuting projector pair (p_a, p_b).
-
-    Both halves come from one eigendecomposition of ``p_a - p_b``.  For
-    commuting projectors its spectrum lies in {-1, 0, +1}: the +1
-    eigenspace is ``p_a (1-p_b) H`` and the -1 eigenspace is
-    ``(1-p_a) p_b H``.  phi is drawn Haar-uniformly inside the first and chi
-    inside the second (deterministically from ``rng``, phases canonical),
-    then ``psi = (phi + chi)/sqrt(2)``.  Raises :class:`NonCommuting` when
-    the projectors fail to commute within tolerance and
-    :class:`EmptySubspace` when either subspace has rank zero.  That means
-    only that this cross-diagonal construction does not apply, not that the
-    pair admits no witness: for ``p_a = p_b = p`` both subspaces are zero,
-    yet with p = |0><0| (x) 1 the joint is non-separate on
+    One complex Gaussian vector drawn from ``rng`` is passed through the
+    cross couples: phi is its part in P_0 Q_1 H and chi its part in
+    P_1 Q_0 H.  The ranges are orthogonal, so the parts are independent and
+    each, normalised with a canonical phase, is Haar-uniform in its
+    subspace.  Then ``psi = (phi + chi)/sqrt(2)``.  The joint's PVMs and
+    commutation check carry every projector condition.  Raises
+    :class:`InvalidArgument` unless each side has two outcomes and
+    :class:`EmptySubspace` when either cross couple has rank zero.  That
+    means only that this cross-diagonal construction does not apply, not
+    that the pair admits no witness: for p_a = p_b = p both couples are
+    zero, yet with p = |0><0| (x) 1 the joint is non-separate on
     (e_0 + e_2)/sqrt(2), whose couples lie on the (+,+)/(-,-) diagonal.
     """
-    for name, p in (("p_a", p_a), ("p_b", p_b)):
-        if not p.is_projector():
-            raise InvalidArgument(f"{name} fails the projector check")
-    if p_a.dim != p_b.dim:
-        raise DimensionMismatch(f"dims {p_a.dim} and {p_b.dim}")
-    comm = commutator_norm(p_a, p_b)
-    if comm > COMMUTATION_TOL:
-        raise NonCommuting(f"[p_a, p_b] max entry {comm:.3e}")
+    if len(joint.pvm_a.outcomes) != 2 or len(joint.pvm_b.outcomes) != 2:
+        raise InvalidArgument("the witness needs two outcomes on each side")
+    # 0.5 lies halfway between integer ranks; it is not a tolerance
+    for x, y in ((0, 1), (1, 0)):
+        if joint.ranks[x, y] < 0.5:
+            raise EmptySubspace(f"couple ({x}, {y}) has rank zero")
 
-    # 0.5 is the midpoint between neighbouring eigenvalues, not a tolerance
-    values, vectors = np.linalg.eigh(p_a.entries - p_b.entries)
-    basis_phi = vectors[:, values > 0.5]
-    basis_chi = vectors[:, values < -0.5]
-    if basis_phi.shape[1] == 0:
-        raise EmptySubspace("p_a (1 - p_b) H has rank zero")
-    if basis_chi.shape[1] == 0:
-        raise EmptySubspace("(1 - p_a) p_b H has rank zero")
-
-    phi = _random_unit_in(basis_phi, rng)
-    chi = _random_unit_in(basis_chi, rng)
+    gaussian = rng.normal(size=joint.dim) + 1j * rng.normal(size=joint.dim)
+    parts = joint.project(StateVector(gaussian))
+    phi, chi = _canonical_unit(parts[0, 1]), _canonical_unit(parts[1, 0])
     psi = StateVector((phi.amplitudes + chi.amplitudes) / np.sqrt(2.0))
-    return AertsWitness(phi, chi, psi, verify_witness(phi, chi, psi, p_a, p_b))
+    return AertsWitness(phi, chi, psi, verify_witness(joint, phi, chi, psi))
 
 
 def verify_witness(
-    phi: StateVector, chi: StateVector, psi: StateVector, p_a: Operator, p_b: Operator
+    joint: JointMeasurement, phi: StateVector, chi: StateVector, psi: StateVector
 ) -> dict[str, float]:
     """Residual report for the witness identities of the halves phi, chi and
-    the state psi; every entry must be ~0.
+    the state psi under the binary ``joint``; every entry must be ~0.
 
-    The halves: applying p_a (or the complement of p_b) to psi returns
-    phi/sqrt(2), and symmetrically chi/sqrt(2).  The crosses: the couple
-    projectors for (+,-) and (-,+) return the same halves.  The blocked
-    couples: the projectors for (+,+) and (-,-) annihilate psi.
+    The halves: the side-A outcome 0 (or side-B outcome 1) applied to psi
+    returns phi/sqrt(2), and symmetrically chi/sqrt(2).  The crosses: the
+    couples (0, 1) and (1, 0) return the same halves.  The blocked couples:
+    (0, 0) and (1, 1) annihilate psi.  A one-side projection is a row or
+    column sum of the couple parts, since both PVMs are complete.
     """
-    eye = np.eye(p_a.dim)
-    pa, pb = p_a.entries, p_b.entries
-    ca, cb = eye - pa, eye - pb
+    on_phi, on_chi, on_psi = (joint.project(v) for v in (phi, chi, psi))
     phi, chi, psi = phi.amplitudes, chi.amplitudes, psi.amplitudes
-    root2 = np.sqrt(2.0)
+    half_phi, half_chi = phi / np.sqrt(2.0), chi / np.sqrt(2.0)
 
     def dist(vec: np.ndarray, target: np.ndarray) -> float:
         return float(np.linalg.norm(vec - target))
 
-    half_phi = phi / root2
-    half_chi = chi / root2
+    side_a, side_b = on_psi.sum(axis=1), on_psi.sum(axis=0)
     return {
-        "phi_membership": dist(pa @ (cb @ phi), phi),
-        "chi_membership": dist(ca @ (pb @ chi), chi),
+        "phi_membership": dist(on_phi[0, 1], phi),
+        "chi_membership": dist(on_chi[1, 0], chi),
         "phi_chi_overlap": float(abs(np.vdot(phi, chi))),
         "psi_norm": float(abs(np.linalg.norm(psi) - 1.0)),
-        "a_half": dist(pa @ psi, half_phi),
-        "a_complement_half": dist(ca @ psi, half_chi),
-        "b_half": dist(pb @ psi, half_chi),
-        "b_complement_half": dist(cb @ psi, half_phi),
-        "cross_a_notb": dist(pa @ (cb @ psi), half_phi),
-        "cross_nota_b": dist(ca @ (pb @ psi), half_chi),
-        "blocked_both": float(np.linalg.norm(pa @ (pb @ psi))),
-        "blocked_neither": float(np.linalg.norm(ca @ (cb @ psi))),
+        "a_half": dist(side_a[0], half_phi),
+        "a_complement_half": dist(side_a[1], half_chi),
+        "b_half": dist(side_b[0], half_chi),
+        "b_complement_half": dist(side_b[1], half_phi),
+        "cross_a_notb": dist(on_psi[0, 1], half_phi),
+        "cross_nota_b": dist(on_psi[1, 0], half_chi),
+        "blocked_both": float(np.linalg.norm(on_psi[0, 0])),
+        "blocked_neither": float(np.linalg.norm(on_psi[1, 1])),
     }
 
 

@@ -56,7 +56,8 @@ def test_qubit_witness_instance():
     with criterion("qubit witness: forced state, vanishing residuals, verdict"):
         p_a = tensor_op(projector_onto(basis_vector(2, 0)), identity(2))
         p_b = tensor_op(identity(2), projector_onto(basis_vector(2, 0)))
-        witness = construct_witness(p_a, p_b, np.random.default_rng(42))
+        joint = witness_joint(p_a, p_b)
+        witness = construct_witness(joint, np.random.default_rng(42))
 
         target = np.array([0, ROOT_HALF, ROOT_HALF, 0])
         overlap = abs(np.vdot(witness.psi.amplitudes, target))
@@ -64,7 +65,7 @@ def test_qubit_witness_instance():
 
         assert max(witness.residuals.values()) <= 1e-12
 
-        verdict = separation_verdict(witness_joint(p_a, p_b), witness.psi)
+        verdict = separation_verdict(joint, witness.psi)
         expected = {("+", "+"): 0.0, ("+", "-"): 0.5, ("-", "+"): 0.5, ("-", "-"): 0.0}
         for couple, value in expected.items():
             assert verdict.probabilities[couple] == pytest.approx(value, abs=1e-12)
@@ -104,9 +105,10 @@ def test_witness_generality_sweep():
         for seed in range(100):
             rng = np.random.default_rng(seed)
             p_a, p_b = _tensor_pair(rng) if seed % 2 == 0 else _common_eigenbasis_pair(rng)
-            witness = construct_witness(p_a, p_b, rng)
+            joint = witness_joint(p_a, p_b)
+            witness = construct_witness(joint, rng)
             assert max(witness.residuals.values()) <= 1e-10
-            verdict = separation_verdict(witness_joint(p_a, p_b), witness.psi)
+            verdict = separation_verdict(joint, witness.psi)
             assert not verdict.separate
             verified += 1
         assert verified == 100

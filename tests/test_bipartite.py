@@ -32,7 +32,7 @@ from seplab.hilbert import (
     tensor_vec,
 )
 from seplab.measurement import Outcome, Pvm, all_probabilities, pvm_from_operator
-from seplab.separation import separation_verdict, witness_joint
+from seplab.separation import construct_witness, separation_verdict, witness_joint
 
 Z_PVM = pvm_from_operator(SIGMA_Z)
 X_PVM = pvm_from_operator(SIGMA_X)
@@ -59,6 +59,8 @@ def test_joint_measurement_z_z():
 def test_commuting_joint_rejects_non_commuting_sides():
     with pytest.raises(NonCommuting):
         commuting_joint(Z_PVM, X_PVM)
+    with pytest.raises(DimensionMismatch):
+        commuting_joint(Z_PVM, pvm_from_operator(Operator(np.diag([0.0, 1.0, 2.0]))))
 
 
 def test_schmidt_product_state():
@@ -203,6 +205,16 @@ def _assert_matches_dense(joint, psi: np.ndarray, tensor: bool) -> None:
     exp_a, exp_b = dense_marginals(projs_a, projs_b, psi, tensor)
     np.testing.assert_allclose(probs.sum(axis=1), exp_a, rtol=0, atol=1e-12)
     np.testing.assert_allclose(probs.sum(axis=0), exp_b, rtol=0, atol=1e-12)
+    # project is the state under every couple projector; ranks are their traces
+    couples = dense_couple_projectors(projs_a, projs_b, tensor)
+    projected = joint.project(state)
+    assert projected.shape == (*expected.shape, len(psi))
+    np.testing.assert_allclose(
+        projected.reshape(len(couples), -1), [c @ psi for c in couples], rtol=0, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        joint.ranks.ravel(), [np.trace(c).real for c in couples], rtol=0, atol=1e-10
+    )
 
 
 @given(
@@ -264,6 +276,7 @@ def test_table_and_verdict_never_lift_the_factor_pvms(monkeypatch):
     monkeypatch.setattr(Pvm, "__post_init__", spy)
     joint.probability_table(psi)
     separation_verdict(joint, psi)
+    construct_witness(joint, np.random.default_rng(0))
     assert built == []
 
 

@@ -9,11 +9,18 @@ import numpy as np
 import pytest
 
 from seplab import hilbert
-from seplab.bipartite import BipartiteSpace
+from seplab.bipartite import BipartiteSpace, joint_measurement
 from seplab.errors import InvalidArgument
-from seplab.hilbert import Operator, StateVector, basis_vector, normalize
-from seplab.measurement import Outcome, Pvm, binary_pvm
-from seplab.product_test import Branch, TestableEntity, epr_protocol, meet_actual, wooden_cube
+from seplab.hilbert import Operator, StateVector, basis_vector, haar_projector, normalize
+from seplab.measurement import Outcome, Pvm, binary_pvm, pvm_from_operator
+from seplab.product_test import (
+    Branch,
+    TestableEntity,
+    epr_protocol,
+    flaky_entity,
+    meet_actual,
+    wooden_cube,
+)
 from seplab.separation import construct_witness, no_cloning_witness
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,11 +66,43 @@ def test_readme_lists_every_tolerance():
     assert listed == declared
 
 
+# bench/test_bench.py traces seplab.bipartite.tensor_op, a binding nothing else uses
+KEPT_IMPORTS = {("bipartite.py", "tensor_op")}
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """Names a module imports but never reads; a name listed in ``__all__``
+    counts as read, since the package re-exports it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            used |= set(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_every_import_is_used():
+    unused = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in sorted(_unused_imports(path))
+        if (path.name, name) not in KEPT_IMPORTS
+    ]
+    assert not unused, f"imported but unused: {unused}"
+
+
 _UNIT = StateVector(np.array([1.0, 0.0]))
 _TWICE = Operator(2.0 * np.eye(2))
 _AB = (Outcome("a"), Outcome("b"))
 _P0 = Operator(np.diag([1.0, 0.0]))
 _P1 = Operator(np.diag([0.0, 1.0]))
+_THREE_LEVELS = Operator(np.diag([0.0, 1.0, 2.0]))
 
 
 @pytest.mark.parametrize(
@@ -86,9 +125,16 @@ _P1 = Operator(np.diag([0.0, 1.0]))
         lambda: meet_actual(wooden_cube(), [], 1, np.random.default_rng(0)),
         lambda: epr_protocol(StateVector(np.eye(4)[0]), rng=None),
         lambda: epr_protocol(StateVector(np.eye(4)[0]), (), rng=np.random.default_rng(0)),
-        lambda: construct_witness(_TWICE, _P0, np.random.default_rng(0)),
+        lambda: construct_witness(  # a witness needs two outcomes on each side
+            joint_measurement(pvm_from_operator(_THREE_LEVELS), binary_pvm(_P0)),
+            np.random.default_rng(0),
+        ),
         lambda: no_cloning_witness(StateVector(np.array([math.sqrt(2.0), 0.0])), _UNIT),
         lambda: meet_actual(wooden_cube(), [], 0, np.random.default_rng(0)),  # no trial to draw
+        lambda: haar_projector(4, -1, np.random.default_rng(0)),
+        lambda: haar_projector(2, 5, np.random.default_rng(0)),
+        lambda: flaky_entity(1.5),  # branches 1.5 and -0.5
+        lambda: flaky_entity(-0.5),
     ],
 )
 def test_bad_arguments_raise_invalid_argument(call):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_joint_table, kron_loops, random_state
-from seplab.bipartite import commuting_joint, joint_measurement
+from seplab import cli
+from seplab.bipartite import joint_measurement
 from seplab.errors import EmptySubspace, NonCommuting
 from seplab.hilbert import (
     SIGMA_X,
@@ -37,7 +38,7 @@ P_B_QUBIT = tensor_op(identity(2), projector_onto(basis_vector(2, 0)))
 
 
 def qubit_witness(seed: int = 42) -> AertsWitness:
-    return construct_witness(P_A_QUBIT, P_B_QUBIT, np.random.default_rng(seed))
+    return construct_witness(witness_joint(P_A_QUBIT, P_B_QUBIT), np.random.default_rng(seed))
 
 
 def test_qubit_witness_subspaces_are_forced():
@@ -59,7 +60,7 @@ def test_qubit_witness_residuals_vanish():
 
 def test_witness_swap_symmetry():
     w = qubit_witness()
-    swapped_residuals = verify_witness(w.chi, w.phi, w.psi, P_B_QUBIT, P_A_QUBIT)
+    swapped_residuals = verify_witness(witness_joint(P_B_QUBIT, P_A_QUBIT), w.chi, w.phi, w.psi)
     assert sorted(swapped_residuals.values()) == pytest.approx(
         sorted(w.residuals.values()), abs=1e-12
     )
@@ -69,13 +70,13 @@ def test_witness_swap_symmetry():
 def test_empty_subspace_for_trivial_pairs():
     eye4 = identity(4)
     with pytest.raises(EmptySubspace):
-        construct_witness(eye4, eye4, np.random.default_rng(0))
+        construct_witness(witness_joint(eye4, eye4), np.random.default_rng(0))
     p = P_A_QUBIT
     with pytest.raises(EmptySubspace):
-        construct_witness(p, p, np.random.default_rng(0))  # p (1 - p) H = 0
+        construct_witness(witness_joint(p, p), np.random.default_rng(0))  # p (1 - p) H = 0
     # the complement pair keeps both cross subspaces nonzero
     complement = Operator(np.eye(4) - p.entries)
-    w = construct_witness(p, complement, np.random.default_rng(0))
+    w = construct_witness(witness_joint(p, complement), np.random.default_rng(0))
     assert max(w.residuals.values()) <= 1e-10
 
 
@@ -83,7 +84,7 @@ def test_non_commuting_projectors_rejected():
     pz = projector_onto(basis_vector(2, 0))  # sigma_z eigenprojector
     px = projector_onto(StateVector(np.array([1, 1]) / math.sqrt(2)))
     with pytest.raises(NonCommuting):
-        construct_witness(pz, px, np.random.default_rng(0))
+        witness_joint(pz, px)
 
 
 def test_verdict_on_correlated_state_z_z():
@@ -170,57 +171,80 @@ def _random_common_eigenbasis_pair(rng):
 def test_every_admissible_pair_yields_a_nonseparable_witness(seed, tensor):
     rng = np.random.default_rng(seed)
     p_a, p_b = _random_tensor_pair(rng) if tensor else _random_common_eigenbasis_pair(rng)
-    w = construct_witness(p_a, p_b, rng)
+    joint = witness_joint(p_a, p_b)
+    w = construct_witness(joint, rng)
     assert max(w.residuals.values()) <= 1e-10
-    verdict = separation_verdict(witness_joint(p_a, p_b), w.psi)
+    verdict = separation_verdict(joint, w.psi)
     assert not verdict.separate
     assert set(verdict.missing_couples) == {("+", "+"), ("-", "-")}
     assert verdict.possible_a == ("+", "-")
     assert verdict.possible_b == ("+", "-")
 
 
-def _ranked_commuting_pair(rng, tensor):
-    """A commuting projector pair with ranks that may be zero or full, and
-    the ranks of its halves p_a (1 - p_b) H and (1 - p_a) p_b H."""
+def _ranked_joints(rng, tensor):
+    """Binary joints of one commuting projector pair with ranks that may be
+    zero or full, and the ranks of its cross couples P_A (1 - P_B) H and
+    (1 - P_A) P_B H.  The first joint is the commuting form; a tensor pair
+    adds its tensor form at the factor dimensions."""
     if tensor:  # unequal factor dimensions, dim_a * dim_b <= 64
         da = int(rng.integers(1, 9))
         db = int(rng.choice([d for d in range(1, 64 // da + 1) if d != da]))
         ra, rb = int(rng.integers(0, da + 1)), int(rng.integers(0, db + 1))
-        p_a = tensor_op(haar_projector(da, ra, rng), identity(db))
-        p_b = tensor_op(identity(da), haar_projector(db, rb, rng))
-        return p_a, p_b, ra * (db - rb), (da - ra) * rb
+        proj_a, proj_b = haar_projector(da, ra, rng), haar_projector(db, rb, rng)
+        joints = [
+            witness_joint(tensor_op(proj_a, identity(db)), tensor_op(identity(da), proj_b)),
+            joint_measurement(binary_pvm(proj_a), binary_pvm(proj_b)),
+        ]
+        return joints, ra * (db - rb), (da - ra) * rb
     dim = int(rng.integers(1, 65))
     mask_a = rng.integers(0, 2, size=dim).astype(bool)
     mask_b = rng.integers(0, 2, size=dim).astype(bool)
     p_a = Operator(np.diag(mask_a.astype(complex)))
     p_b = Operator(np.diag(mask_b.astype(complex)))
-    return p_a, p_b, int((mask_a & ~mask_b).sum()), int((~mask_a & mask_b).sum())
+    return [witness_joint(p_a, p_b)], int((mask_a & ~mask_b).sum()), int((~mask_a & mask_b).sum())
 
 
 @given(seed=st.integers(0, 100_000), tensor=st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_witness_halves_come_from_one_eigendecomposition(seed, tensor):
-    rng = np.random.default_rng(seed)
-    p_a, p_b, rank_phi, rank_chi = _ranked_commuting_pair(rng, tensor)
-    if rank_phi == 0 or rank_chi == 0:
-        with pytest.raises(EmptySubspace):
-            construct_witness(p_a, p_b, rng)
-        return
-    w = construct_witness(p_a, p_b, rng)
-    assert max(w.residuals.values()) < 1e-10
+def test_witness_exists_iff_both_cross_couples_are_nonzero(seed, tensor):
+    joints, rank_phi, rank_chi = _ranked_joints(np.random.default_rng(seed), tensor)
+    witnesses = []
+    for joint in joints:
+        np.testing.assert_allclose(joint.ranks[[0, 1], [1, 0]], [rank_phi, rank_chi], atol=1e-9)
+        if rank_phi == 0 or rank_chi == 0:
+            with pytest.raises(EmptySubspace):
+                construct_witness(joint, np.random.default_rng(seed))
+            continue
+        w = construct_witness(joint, np.random.default_rng(seed))
+        assert max(w.residuals.values()) < 1e-10
+        assert not separation_verdict(joint, w.psi).separate
+        witnesses.append(w)
+    # both forms of one pair draw the same witness from the same seed, up to phase
+    for a, b in zip(witnesses, witnesses[1:]):
+        for name in ("phi", "chi", "psi"):
+            overlap = abs(np.vdot(getattr(a, name).amplitudes, getattr(b, name).amplitudes))
+            assert overlap == pytest.approx(1.0, abs=1e-10)
 
 
-def test_construct_witness_calls_eigh_once(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
+def test_aerts_scenario_lifts_nothing(monkeypatch):
+    eighs, dims = [], []
+    eigh, check = np.linalg.eigh, Operator.__post_init__
 
-    def spy(*args, **kwargs):
-        calls.append(args)
+    def spy_eigh(*args, **kwargs):
+        eighs.append(args)
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
-    qubit_witness()
-    assert len(calls) == 1
+    def spy_operator(self):
+        check(self)
+        dims.append(self.dim)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(Operator, "__post_init__", spy_operator)
+    params = {"dim_a": 8, "dim_b": 8, "rank_a": 3, "rank_b": 5, "random_pair": True}
+    results = cli.run(cli.build_config("aerts", seed=11, params=params)).results
+    assert results["max_residual"] < 1e-10 and results["separate"] is False
+    assert eighs == []
+    assert dims and max(dims) <= 8
 
 
 @given(seed=st.integers(0, 100_000), tensor=st.booleans())
@@ -236,11 +260,11 @@ def test_verdict_sets_match_the_dense_table(seed, tensor):
         ]
         joint, dim = joint_measurement(*pvms), da * db
     else:  # ranks 0 and full included
-        p_a, p_b, rank_phi, rank_chi = _ranked_commuting_pair(rng, bool(rng.integers(2)))
-        joint, dim = commuting_joint(binary_pvm(p_a), binary_pvm(p_b)), p_a.dim
+        joints, rank_phi, rank_chi = _ranked_joints(rng, bool(rng.integers(2)))
+        joint, dim = joints[0], joints[0].dim
     states = [random_state(dim, rng)]
     if not tensor and rank_phi and rank_chi:  # a state with missing couples
-        states.append(construct_witness(p_a, p_b, rng).psi.amplitudes)
+        states.append(construct_witness(joint, rng).psi.amplitudes)
     projs_a = [p.entries for p in joint.pvm_a.projectors]
     projs_b = [q.entries for q in joint.pvm_b.projectors]
     labels_a, labels_b = joint.pvm_a.labels, joint.pvm_b.labels
