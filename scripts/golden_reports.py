@@ -85,14 +85,23 @@ def main() -> None:
         GOLDEN.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {len(doc['reports'])} digests to {GOLDEN}")
         return
-    recorded = set()
+    recorded = {}
     if GOLDEN.exists():
-        recorded = {r["sha256"] for r in json.loads(GOLDEN.read_text(encoding="utf-8"))["reports"]}
+        recorded = {
+            (json.dumps(r["config"], sort_keys=True), r["format"]): r["sha256"]
+            for r in json.loads(GOLDEN.read_text(encoding="utf-8"))["reports"]
+        }
+    changed: dict[str, list[str]] = {}  # config -> formats whose digest differs
     for r in doc["reports"]:
-        print(r["sha256"], r["format"], json.dumps(r["config"], sort_keys=True))
-    same = sum(r["sha256"] in recorded for r in doc["reports"])
-    print(f"{same} of {len(doc['reports'])} digests match {GOLDEN.name} "
-          f"(seplab {__version__}, numpy {np.__version__})")
+        key = json.dumps(r["config"], sort_keys=True)
+        print(r["sha256"], r["format"], key)
+        if recorded.get((key, r["format"])) != r["sha256"]:
+            changed.setdefault(key, []).append(r["format"])
+    for key, formats in changed.items():
+        print("changed", ",".join(formats), key)
+    same = len(doc["reports"]) - sum(len(formats) for formats in changed.values())
+    print(f"{same} of {len(doc['reports'])} digests match {GOLDEN.name}, "
+          f"{len(changed)} configs changed (seplab {__version__}, numpy {np.__version__})")
 
 if __name__ == "__main__":
     main()

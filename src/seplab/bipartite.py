@@ -27,9 +27,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, NonCommuting
-from .hilbert import COMMUTATION_TOL, StateVector, commutator_norm
+from .hilbert import COMMUTATION_TOL, Operator, StateVector, commutator_norm
 from .hilbert import tensor_op  # noqa: F401  bench/test_bench.py traces this binding
-from .measurement import Outcome, Pvm
+from .measurement import Outcome, Pvm, binary_pvm
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,14 @@ class JointMeasurement:
 
     @cached_property
     def _stack_a(self) -> np.ndarray:
-        """Side-A projectors stacked on axis 0."""
-        return np.stack([p.entries for p in self.pvm_a.projectors])
+        """Side-A projectors B_x B_x^H stacked on axis 0."""
+        return np.stack([b @ b.conj().T for b in self.pvm_a.blocks])
 
     @cached_property
     def _stack_b(self) -> np.ndarray:
         """Side-B projectors stacked on axis 0, transposed in tensor form so
         that ``Psi @ _stack_b`` applies every Q_y at once."""
-        q = np.stack([p.entries for p in self.pvm_b.projectors])
+        q = np.stack([b @ b.conj().T for b in self.pvm_b.blocks])
         return q.transpose(0, 2, 1) if self.space else q
 
     def _matrix(self, psi: StateVector) -> np.ndarray:
@@ -143,12 +143,16 @@ def commuting_joint(m_a: Pvm, m_b: Pvm) -> JointMeasurement:
     other within ``COMMUTATION_TOL``; otherwise the couple projectors would
     not form a PVM.  ``commutator_norm`` rejects unequal dimensions.
     """
-    worst = max(
-        commutator_norm(p, q) for p in m_a.projectors for q in m_b.projectors
-    )
+    projs_a, projs_b = m_a.projectors, m_b.projectors
+    worst = max(commutator_norm(p, q) for p in projs_a for q in projs_b)
     if worst > COMMUTATION_TOL:
         raise NonCommuting(f"max projector commutator {worst:.3e}")
     return JointMeasurement(m_a, m_b, None)
+
+
+def witness_joint(p_a: Operator, p_b: Operator) -> JointMeasurement:
+    """Binary coarse-grained joint measurement {p_a, 1-p_a} x {p_b, 1-p_b}."""
+    return commuting_joint(binary_pvm(p_a), binary_pvm(p_b))
 
 
 def schmidt(psi: StateVector, space: BipartiteSpace) -> list[tuple[float, StateVector, StateVector]]:

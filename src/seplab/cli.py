@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__, bell, classical_models, hilbert, product_test
 from .bipartite import joint_measurement, schmidt
 from .errors import ConfigError, IoError, ScenarioError, SeplabError
-from .hilbert import DIM_CAP, Operator, StateVector, haar_projector
-from .measurement import binary_pvm
+from .hilbert import DIM_CAP, StateVector
+from .measurement import SIGNS, Pvm
 from .separation import construct_witness, no_cloning_witness, separation_verdict
 
 SCHEMA_VERSION = 1
@@ -143,7 +143,7 @@ PARAMS: dict[str, tuple[Param, ...]] = {
         Param("rank_a", "int", 1, "rank of the side A projector, below dim_a"),
         Param("rank_b", "int", 1, "rank of the side B projector, below dim_b"),
         Param("random_pair", "bool", False, "Haar-random projectors instead of basis ones"),
-        Param("tol", "float", hilbert.POSSIBILITY_TOL, "possibility threshold of the verdict"),
+        Param("tol", "float", hilbert.POSSIBILITY_TOL, "verdict possibility threshold, below 0.5"),
     ),
     "chsh": (_STATE, _ANGLES_A, _ANGLES_B),
     "models": (
@@ -207,11 +207,13 @@ def _check(param: Param, value: Any) -> Any:
 
 
 def _check_aerts(p: dict[str, Any]) -> None:
-    """The two aerts checks that involve more than one parameter."""
+    """The aerts checks beyond each parameter's own."""
     if p["rank_a"] >= p["dim_a"] or p["rank_b"] >= p["dim_b"]:
         raise ConfigError("rank_a/rank_b must be strictly below dim_a/dim_b")
     if p["dim_a"] * p["dim_b"] > DIM_CAP:
         raise ConfigError(f"dim_a * dim_b must be at most {DIM_CAP}")
+    if p["tol"] >= 0.5:
+        raise ConfigError("'tol' must be below 0.5: every marginal of the witness is 1/2")
 
 
 def build_config(
@@ -272,22 +274,15 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # scenario implementations
 
-def _basis_projector(dim: int, rank: int) -> Operator:
-    return Operator(np.diag(np.arange(dim) < rank).astype(complex))
-
-
 def _run_aerts(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, Any]:
     """Build and verify a non-separability witness."""
     p = config.params
     da, db = p["dim_a"], p["dim_b"]
-    if p["random_pair"]:
-        proj_a = haar_projector(da, p["rank_a"], rng)
-        proj_b = haar_projector(db, p["rank_b"], rng)
-    else:
-        proj_a = _basis_projector(da, p["rank_a"])
-        proj_b = _basis_projector(db, p["rank_b"])
-    # one tensor-form joint, validated at the factor dimensions
-    joint = joint_measurement(binary_pvm(proj_a), binary_pvm(proj_b))
+    # one tensor-form joint at the factor dimensions; a basis's first rank columns span +
+    joint = joint_measurement(*(
+        Pvm(SIGNS, hilbert.haar_unitary(d, rng) if p["random_pair"] else np.eye(d), (r, d - r))
+        for d, r in ((da, p["rank_a"]), (db, p["rank_b"]))
+    ))
     witness = construct_witness(joint, rng)
     verdict = separation_verdict(joint, witness.psi, tol=p["tol"])
     coeffs = [c for c, _, _ in schmidt(witness.psi, joint.space)]

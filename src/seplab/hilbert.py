@@ -21,7 +21,7 @@ DIM_CAP = 64
 # Tolerances, every threshold of the package (residuals are max-entry magnitudes):
 HERMITIAN_TOL = 1e-12  # input operators are hermitian up to one rounding per entry
 # Looser than HERMITIAN_TOL: an eigh-built projector entry at dim 64 sums 64 rounded products.
-PROJECTOR_TOL = 1e-10  # P^H = P and P P = P; P_i P_j = 0; sum_k P_k = 1
+PROJECTOR_TOL = 1e-10  # B^H B = 1 of a PVM basis; P^H = P = P P of a projector
 COMMUTATION_TOL = 1e-10  # [P, Q] of jointly measured projectors: projector products, as above
 POSSIBILITY_TOL = 1e-10  # a Born probability above this counts as possible, not as projector leak
 # Tighter than POSSIBILITY_TOL, so that a small but real branch of a given table still counts.
@@ -90,11 +90,6 @@ class Operator:
     def is_hermitian(self) -> bool:
         return float(np.abs(self.entries - self.entries.conj().T).max()) <= HERMITIAN_TOL
 
-    def is_projector(self) -> bool:
-        m = self.entries
-        hermitian = float(np.abs(m - m.conj().T).max()) <= PROJECTOR_TOL
-        return hermitian and float(np.abs(m @ m - m).max()) <= PROJECTOR_TOL
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -117,15 +112,18 @@ def projector_onto(v: StateVector) -> Operator:
     return Operator(np.outer(u, u.conj()))
 
 
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Q of the QR factorisation of a complex Gaussian matrix (real parts drawn
+    first): the span of any run of its columns is Haar-random."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.linalg.qr(g)[0]
+
+
 def haar_projector(dim: int, rank: int, rng: np.random.Generator) -> Operator:
-    """Haar-random rank-``rank`` projector: the span of the first ``rank``
-    columns of the QR factor of a complex Gaussian matrix.  Draws the real
-    parts, then the imaginary parts, from ``rng``."""
+    """Haar-random projector onto the first ``rank`` columns of ``haar_unitary``."""
     if not 0 <= rank <= dim:
         raise InvalidArgument(f"rank {rank} out of range for dim {dim}")
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, _ = np.linalg.qr(g)
-    block = q[:, :rank]
+    block = haar_unitary(dim, rng)[:, :rank]
     return Operator(block @ block.conj().T)
 
 
@@ -162,15 +160,14 @@ def commutator_norm(A: Operator, B: Operator) -> float:
     return float(np.abs(c).max())
 
 
-def spectral_decomposition(O: Operator) -> tuple[tuple[float, Operator], ...]:
-    """(eigenvalue, spectral projector) pairs of a hermitian operator.
+def spectral_decomposition(O: Operator) -> tuple[tuple[float, ...], np.ndarray, tuple[int, ...]]:
+    """(eigenvalues, eigenbasis, block sizes) of a hermitian operator.
 
     Eigenvalues closer than ``EIGENVALUE_GROUPING_RTOL * max(1, ||O||)`` are
-    merged into a single degenerate projector, so coarse-graining by outcome
-    subsets sees the correct ranks.  After merging the eigenvalues are
-    strictly increasing and the projectors are mutually orthogonal and sum to
-    the identity.  Raises :class:`NotHermitian` when the input fails the
-    hermiticity check.
+    merged into one degenerate eigenvalue, their mean, so coarse-graining by
+    outcome subsets sees the correct ranks.  The merged eigenvalues strictly
+    increase, and the k-th run of ``sizes[k]`` eigenbasis columns spans the
+    k-th eigenspace.  Raises :class:`NotHermitian` on a non-hermitian input.
     """
     if not O.is_hermitian():
         raise NotHermitian("spectral decomposition needs a hermitian operator")
@@ -178,12 +175,6 @@ def spectral_decomposition(O: Operator) -> tuple[tuple[float, Operator], ...]:
     scale = max(1.0, float(np.abs(values).max()))
     tol = EIGENVALUE_GROUPING_RTOL * scale
 
-    pairs: list[tuple[float, Operator]] = []
-    start = 0
-    for k in range(1, len(values) + 1):
-        if k == len(values) or values[k] - values[k - 1] > tol:
-            block = vectors[:, start:k]
-            proj = Operator(block @ block.conj().T)
-            pairs.append((float(values[start:k].mean()), proj))
-            start = k
-    return tuple(pairs)
+    cuts = [0, *(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), len(values)]
+    means = tuple(float(values[a:b].mean()) for a, b in zip(cuts, cuts[1:]))
+    return means, vectors, tuple(np.diff(cuts).tolist())

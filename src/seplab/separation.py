@@ -22,10 +22,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .bipartite import JointMeasurement, commuting_joint
+from . import bipartite
+from .bipartite import JointMeasurement
 from .errors import DimensionMismatch, EmptySubspace, InvalidArgument
-from .hilbert import CLONING_DEFECT_TOL, POSSIBILITY_TOL, UNIT_TOL, Operator, StateVector
-from .measurement import binary_pvm
+from .hilbert import CLONING_DEFECT_TOL, POSSIBILITY_TOL, UNIT_TOL, StateVector
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +148,7 @@ def verify_witness(
     }
 
 
-def witness_joint(p_a: Operator, p_b: Operator) -> JointMeasurement:
-    """Binary coarse-grained joint measurement {p_a, 1-p_a} x {p_b, 1-p_b}."""
-    return commuting_joint(binary_pvm(p_a), binary_pvm(p_b))
+witness_joint = bipartite.witness_joint  # the binary joint a witness is built on
 
 
 def separation_verdict(

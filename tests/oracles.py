@@ -227,3 +227,17 @@ def dense_marginals(projs_a, projs_b, psi: np.ndarray, tensor: bool) -> tuple[li
         [float(np.linalg.norm(p @ psi) ** 2) for p in projs_a],
         [float(np.linalg.norm(q @ psi) ** 2) for q in projs_b],
     )
+
+
+def projector_family_residuals(projs) -> dict[str, float]:
+    """Max-entry residuals of a family of dense projector matrices, by direct
+    matmul: P^H = P and P P = P of every member, P_i P_j = 0 of every pair
+    i < j, and sum_k P_k = 1."""
+    dim = projs[0].shape[0]
+    pairs = [(p, q) for i, p in enumerate(projs) for q in projs[i + 1:]]
+    return {
+        "hermiticity": max(float(np.abs(p - p.conj().T).max()) for p in projs),
+        "idempotency": max(float(np.abs(p @ p - p).max()) for p in projs),
+        "orthogonality": max((float(np.abs(p @ q).max()) for p, q in pairs), default=0.0),
+        "completeness": float(np.abs(sum(projs) - np.eye(dim)).max()),
+    }

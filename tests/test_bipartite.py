@@ -101,29 +101,30 @@ def test_schmidt_reconstructs_the_state(seed, da, db):
     assert np.linalg.norm(rebuilt - psi.amplitudes) <= 1e-9
 
 
-def _flatten(joint, projs_a, projs_b, tensor: bool) -> Pvm:
-    """The couple family of ``joint`` as one PVM over labels ``x|y``, from
-    dense couple projectors; the Pvm constructor checks the family."""
+def _flatten(joint, blocks_a, blocks_b) -> Pvm:
+    """The couple family of ``joint`` as one PVM over labels ``x|y``, from the
+    factor blocks: couple (x, y) spans the columns of B_x (x) B_y.  The Pvm
+    constructor checks that the couple blocks make one orthonormal basis."""
     outcomes = tuple(Outcome(f"{x.label}|{y.label}") for x, y in joint.couples)
-    couples = dense_couple_projectors(projs_a, projs_b, tensor)
-    return Pvm(outcomes, tuple(Operator(c) for c in couples))
+    couples = [np.kron(a, b) for a in blocks_a for b in blocks_b]
+    return Pvm(outcomes, np.hstack(couples), tuple(c.shape[1] for c in couples))
 
 
 def test_joint_flattens_to_a_valid_pvm():
     psi = two_qubit([0.5, 0.5j, -0.5, 0.5])
-    z, x = [p.entries for p in Z_PVM.projectors], [p.entries for p in X_PVM.projectors]
+    z, x = Z_PVM.blocks, X_PVM.blocks
     joint = joint_measurement(Z_PVM, X_PVM)
-    flat = _flatten(joint, z, x, tensor=True)
+    flat = _flatten(joint, z, x)
     assert flat.labels == ("-1|-1", "-1|+1", "+1|-1", "+1|+1")
     table = list(joint.probability_table(psi).values())
     assert table == pytest.approx(all_probabilities(flat, psi), abs=1e-12)
-    lifted_z = [np.kron(p, np.eye(2)) for p in z]
-    lifted_x = [np.kron(np.eye(2), q) for q in x]
+    lifted_z = [np.kron(b, np.eye(2)) for b in z]
+    lifted_x = [np.kron(np.eye(2), b) for b in x]
     commuting = commuting_joint(
-        Pvm(Z_PVM.outcomes, tuple(Operator(p) for p in lifted_z)),
-        Pvm(X_PVM.outcomes, tuple(Operator(q) for q in lifted_x)),
+        Pvm(Z_PVM.outcomes, np.hstack(lifted_z), tuple(b.shape[1] for b in lifted_z)),
+        Pvm(X_PVM.outcomes, np.hstack(lifted_x), tuple(b.shape[1] for b in lifted_x)),
     )
-    flat_commuting = _flatten(commuting, lifted_z, lifted_x, tensor=False)
+    flat_commuting = _flatten(commuting, z, x)
     assert len(flat_commuting.outcomes) == 4
     table = list(commuting.probability_table(psi).values())
     assert table == pytest.approx(all_probabilities(flat_commuting, psi), abs=1e-12)

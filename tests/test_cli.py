@@ -271,11 +271,14 @@ def test_aerts_tol_must_be_finite_and_non_negative(tol, capsys):
     assert "tol" in capsys.readouterr().err
 
 
-def test_aerts_tol_above_every_marginal_exits_1(capsys):
-    assert cli.main(["aerts", "--tol", "1.0"]) == 1
+@pytest.mark.parametrize("tol", ["0.5", "1.0"])
+def test_aerts_tol_at_a_witness_marginal_is_a_config_error(tol, capsys):
+    """Every marginal of the witness is 1/2: at tol 1/2 rounding would decide
+    which outcomes count as possible, and above it none does."""
+    assert cli.main(["aerts", "--tol", tol]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert "no possible outcome above tol=1" in err
+    assert "'tol' must be below 0.5" in err
 
 
 def test_aerts_dimension_product_capped(tmp_path, capsys):

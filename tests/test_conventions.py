@@ -101,7 +101,6 @@ _UNIT = StateVector(np.array([1.0, 0.0]))
 _TWICE = Operator(2.0 * np.eye(2))
 _AB = (Outcome("a"), Outcome("b"))
 _P0 = Operator(np.diag([1.0, 0.0]))
-_P1 = Operator(np.diag([0.0, 1.0]))
 _THREE_LEVELS = Operator(np.diag([0.0, 1.0, 2.0]))
 
 
@@ -114,11 +113,11 @@ _THREE_LEVELS = Operator(np.diag([0.0, 1.0, 2.0]))
         lambda: Operator(np.zeros((hilbert.DIM_CAP + 1,) * 2)),
         lambda: basis_vector(2, 2),
         lambda: normalize(StateVector(np.zeros(2))),
-        lambda: Pvm((Outcome("a"), Outcome("a")), (_P0, _P1)),
-        lambda: Pvm(_AB, (_P0,)),
+        lambda: Pvm((Outcome("a"), Outcome("a")), np.eye(2), (1, 1)),
+        lambda: Pvm(_AB, np.eye(2), (2,)),
         lambda: binary_pvm(_TWICE),
-        lambda: Pvm(_AB, (_P0, _P0)),
-        lambda: Pvm(_AB, (_P0, Operator(np.zeros((2, 2))))),
+        lambda: Pvm(_AB, np.array([[1.0, 1.0], [0.0, 0.0]]), (1, 1)),
+        lambda: Pvm(_AB, np.array([[1.0, 0.0], [0.0, 0.0]]), (1, 1)),
         lambda: BipartiteSpace(0, 2),
         lambda: TestableEntity("e", "s", {"t": {"s": (Branch(0.5, True, "s"),)}}),
         lambda: wooden_cube("soggy"),
@@ -135,6 +134,12 @@ _THREE_LEVELS = Operator(np.diag([0.0, 1.0, 2.0]))
         lambda: haar_projector(2, 5, np.random.default_rng(0)),
         lambda: flaky_entity(1.5),  # branches 1.5 and -0.5
         lambda: flaky_entity(-0.5),
+        lambda: Pvm(_AB, np.eye(2), (3, -1)),  # a negative size
+        lambda: Pvm(_AB, np.eye(2), (1, 2)),  # sizes that do not sum to d
+        lambda: Pvm(_AB, np.eye(3)[:, :2], (1, 1)),  # a non-square basis
+        lambda: Pvm(_AB, np.eye(hilbert.DIM_CAP + 1), (1, hilbert.DIM_CAP)),
+        lambda: Pvm(_AB, np.diag([np.nan, 1.0]), (1, 1)),
+        lambda: binary_pvm(Operator(np.diag([np.nan, 1.0]))),
     ],
 )
 def test_bad_arguments_raise_invalid_argument(call):

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eig2_hermitian, kron_loops, random_hermitian, random_state
+from oracles import (
+    eig2_hermitian,
+    kron_loops,
+    projector_family_residuals,
+    random_hermitian,
+    random_state,
+)
 from seplab import hilbert
 from seplab.errors import DimensionMismatch, NotHermitian
 from seplab.hilbert import (
@@ -24,6 +30,15 @@ from seplab.hilbert import (
 )
 
 PLUS = StateVector(np.array([1, 1]) / math.sqrt(2))
+
+
+def _spectral_pairs(op: Operator) -> list[tuple[float, np.ndarray]]:
+    """(eigenvalue, projector) pairs, each projector rebuilt as B_k B_k^H from
+    its block of ``sizes[k]`` eigenbasis columns."""
+    values, basis, sizes = spectral_decomposition(op)
+    ends = np.cumsum(sizes)
+    blocks = [basis[:, end - size:end] for size, end in zip(sizes, ends)]
+    return [(v, b @ b.conj().T) for v, b in zip(values, blocks)]
 
 
 def test_tensor_vec_basis_states():
@@ -65,43 +80,45 @@ def test_tensor_op_diagonals():
 def test_tensor_op_of_projectors_is_projector():
     p = projector_onto(PLUS)
     q = projector_onto(basis_vector(2, 1))
-    assert tensor_op(p, q).is_projector()
+    residuals = projector_family_residuals([tensor_op(p, q).entries])
+    assert residuals["hermiticity"] <= hilbert.PROJECTOR_TOL
+    assert residuals["idempotency"] <= hilbert.PROJECTOR_TOL
 
 
 def test_spectral_sigma_z():
-    values, projectors = zip(*spectral_decomposition(SIGMA_Z))
+    values, projectors = zip(*_spectral_pairs(SIGMA_Z))
     assert values == (-1.0, 1.0)
-    np.testing.assert_allclose(projectors[0].entries, np.diag([0, 1]), atol=1e-12)
-    np.testing.assert_allclose(projectors[1].entries, np.diag([1, 0]), atol=1e-12)
+    np.testing.assert_allclose(projectors[0], np.diag([0, 1]), atol=1e-12)
+    np.testing.assert_allclose(projectors[1], np.diag([1, 0]), atol=1e-12)
 
 
 def test_spectral_identity_merges_degenerate_eigenvalues():
-    pairs = spectral_decomposition(identity(2))
+    pairs = _spectral_pairs(identity(2))
     assert len(pairs) == 1
     value, projector = pairs[0]
     assert value == pytest.approx(1.0)
-    np.testing.assert_allclose(projector.entries, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(projector, np.eye(2), atol=1e-12)
 
 
 def test_spectral_sigma_x_against_closed_form_eigensolve():
     oracle = eig2_hermitian(SIGMA_X.entries)
-    values, projectors = zip(*spectral_decomposition(SIGMA_X))
+    values, projectors = zip(*_spectral_pairs(SIGMA_X))
     assert values == pytest.approx([v for v, _ in oracle], abs=1e-12)
     for (_, vec), proj in zip(oracle, projectors):
-        np.testing.assert_allclose(proj.entries, np.outer(vec, vec.conj()), atol=1e-12)
+        np.testing.assert_allclose(proj, np.outer(vec, vec.conj()), atol=1e-12)
     # frozen values: projectors onto (1, -1)/sqrt(2) and (1, 1)/sqrt(2)
     np.testing.assert_allclose(
-        projectors[0].entries, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12
+        projectors[0], [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12
     )
     np.testing.assert_allclose(
-        projectors[1].entries, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12
+        projectors[1], [[0.5, 0.5], [0.5, 0.5]], atol=1e-12
     )
 
 
 def test_spectral_groups_degenerate_pairs():
-    values, projectors = zip(*spectral_decomposition(tensor_op(SIGMA_Z, SIGMA_Z)))
+    values, projectors = zip(*_spectral_pairs(tensor_op(SIGMA_Z, SIGMA_Z)))
     assert values == pytest.approx([-1.0, 1.0], abs=1e-12)
-    ranks = [int(round(np.trace(p.entries).real)) for p in projectors]
+    ranks = [int(round(np.trace(p).real)) for p in projectors]
     assert ranks == [2, 2]
 
 
@@ -150,17 +167,15 @@ def test_dimension_cap_enforced():
 def test_spectral_reconstruction_and_projector_family(seed, dim):
     rng = np.random.default_rng(seed)
     op = Operator(random_hermitian(dim, rng))
-    pairs = spectral_decomposition(op)
+    pairs = _spectral_pairs(op)
     values, projectors = zip(*pairs)
     assert all(b > a for a, b in zip(values, values[1:]))
-    total = np.zeros((dim, dim), dtype=complex)
-    for i, p in enumerate(projectors):
-        assert p.is_projector()
-        total += p.entries
-        for q in projectors[i + 1:]:
-            assert np.abs(p.entries @ q.entries).max() <= 1e-10
-    assert np.abs(total - np.eye(dim)).max() <= 1e-10
-    rebuilt = sum(v * p.entries for v, p in pairs)
+    residuals = projector_family_residuals(projectors)
+    assert residuals["hermiticity"] <= hilbert.PROJECTOR_TOL
+    assert residuals["idempotency"] <= hilbert.PROJECTOR_TOL
+    assert residuals["orthogonality"] <= 1e-10
+    assert residuals["completeness"] <= 1e-10
+    rebuilt = sum(v * p for v, p in pairs)
     assert np.abs(rebuilt - op.entries).max() <= 1e-9
 
 

@@ -1,13 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_hermitian, random_state
+from oracles import projector_family_residuals, random_hermitian, random_state
 from seplab.errors import DimensionMismatch
-from seplab.hilbert import SIGMA_X, SIGMA_Z, Operator, StateVector, basis_vector
+from seplab.hilbert import (
+    PROJECTOR_TOL,
+    SIGMA_X,
+    SIGMA_Z,
+    Operator,
+    StateVector,
+    basis_vector,
+    haar_projector,
+)
 from seplab.measurement import Outcome, Pvm, all_probabilities, binary_pvm, pvm_from_operator
 
 Z_PVM = pvm_from_operator(SIGMA_Z)
@@ -24,10 +33,10 @@ def test_pvm_from_operator_outcome_labels_carry_eigenvalues():
 def test_pvm_rejects_non_projector_and_incomplete_families():
     outcomes = (Outcome("a"), Outcome("b"))
     with pytest.raises(ValueError):
-        Pvm(outcomes, (Operator(np.diag([1.0, 0.5])), Operator(np.diag([0.0, 0.5]))))
-    half = Operator(np.diag([1.0, 0.0]))
+        binary_pvm(Operator(np.diag([1.0, 0.5])))
+    half = np.array([[1.0, 1.0], [0.0, 0.0]])  # both blocks span e_0
     with pytest.raises(ValueError):
-        Pvm(outcomes, (half, half))  # not orthogonal, not complete
+        Pvm(outcomes, half, (1, 1))  # not orthogonal, not complete
 
 
 @pytest.mark.parametrize("levels", [64, 4])
@@ -43,22 +52,22 @@ def test_pvm_orthogonality_check_at_dim_64(seed, levels):
     width = 64 // levels
 
     def family(eps):
-        """Block projectors of the unitary's columns, the first column turned
-        by ``eps`` toward the first column of block 1."""
+        """The unitary's columns, the first turned by ``eps`` toward the first
+        column of block 1."""
         cols = unitary.copy()
         cols[:, 0] = math.cos(eps) * unitary[:, 0] + math.sin(eps) * unitary[:, width]
-        return tuple(Operator(b @ b.conj().T) for b in np.split(cols, levels, axis=1))
+        return cols
 
-    Pvm(outcomes, family(0.0))
-    Pvm(outcomes, family(1e-11))
+    sizes = (width,) * levels
+    Pvm(outcomes, family(0.0), sizes)
+    Pvm(outcomes, family(1e-11), sizes)
     with pytest.raises(ValueError, match="projectors 0 and 1 are not orthogonal"):
-        Pvm(outcomes, family(1e-8))
+        Pvm(outcomes, family(1e-8), sizes)
 
 
 def test_outcome_labels_must_be_distinct():
-    family = (Operator(np.diag([1.0, 0.0])), Operator(np.diag([0.0, 1.0])))
     with pytest.raises(ValueError, match="distinct"):
-        Pvm((Outcome("x"), Outcome("x")), family)
+        Pvm((Outcome("x"), Outcome("x")), np.eye(2), (1, 1))
 
 
 def test_born_probability_examples():
@@ -107,3 +116,43 @@ def test_expectation_round_trip_through_spectral_pvm(seed, dim):
     direct = float(np.real(np.vdot(psi.amplitudes, op.entries @ psi.amplitudes)))
     spectral = sum(o.value * p for o, p in zip(m.outcomes, all_probabilities(m, psi)))
     assert spectral == pytest.approx(direct, abs=1e-9)
+
+
+def test_a_pvm_keeps_its_basis_not_its_projectors():
+    """A non-degenerate dim-64 PVM holds one 64 KB basis; its 64 dense
+    projectors (4 MB) are rebuilt on each read and not kept."""
+    rng = np.random.default_rng(0)
+    unitary = np.linalg.qr(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))[0]
+    observable = Operator((unitary * np.arange(64.0)) @ unitary.conj().T)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        m = pvm_from_operator(observable)
+        assert len(m.projectors) == 64
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * 1024, f"a dim-64 PVM retains {retained // 1024} KB"
+
+
+@given(seed=st.integers(0, 10_000), dim=st.integers(1, 64), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_pvm_projectors_form_a_projector_family(seed, dim, data):
+    """Spectral PVMs with 1 to d levels, and binary PVMs of Haar projectors
+    at every rank 0..d (zero-size blocks included), against the dense
+    oracle: every projector identity holds, and the Born rule is ||P_k psi||^2."""
+    rng = np.random.default_rng(seed)
+    levels = data.draw(st.integers(1, dim), label="levels")
+    counts = 1 + rng.multinomial(dim - levels, np.full(levels, 1.0 / levels))
+    unitary = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    observable = (unitary * np.repeat(np.arange(float(levels)), counts)) @ unitary.conj().T
+    spectral = pvm_from_operator(Operator((observable + observable.conj().T) / 2.0))
+    assert len(spectral.outcomes) == levels
+    binaries = [binary_pvm(haar_projector(dim, rank, rng)) for rank in range(dim + 1)]
+    psi = random_state(dim, rng)
+    for m in (spectral, *binaries):
+        projs = [p.entries for p in m.projectors]
+        residuals = projector_family_residuals(projs)
+        assert max(residuals.values()) <= PROJECTOR_TOL, residuals
+        expected = [float(np.vdot(p @ psi, p @ psi).real) for p in projs]
+        assert all_probabilities(m, StateVector(psi)) == pytest.approx(expected, abs=1e-12)

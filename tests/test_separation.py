@@ -21,7 +21,7 @@ from seplab.hilbert import (
     tensor_op,
     tensor_vec,
 )
-from seplab.measurement import binary_pvm, pvm_from_operator
+from seplab.measurement import Pvm, binary_pvm, pvm_from_operator
 from seplab.separation import (
     AertsWitness,
     construct_witness,
@@ -228,18 +228,18 @@ def test_witness_exists_iff_both_cross_couples_are_nonzero(seed, tensor):
 
 def test_aerts_scenario_lifts_nothing(monkeypatch):
     eighs, dims = [], []
-    eigh, check = np.linalg.eigh, Operator.__post_init__
+    eigh, check = np.linalg.eigh, Pvm.__post_init__
 
     def spy_eigh(*args, **kwargs):
         eighs.append(args)
         return eigh(*args, **kwargs)
 
-    def spy_operator(self):
+    def spy_pvm(self):
         check(self)
         dims.append(self.dim)
 
     monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
-    monkeypatch.setattr(Operator, "__post_init__", spy_operator)
+    monkeypatch.setattr(Pvm, "__post_init__", spy_pvm)
     params = {"dim_a": 8, "dim_b": 8, "rank_a": 3, "rank_b": 5, "random_pair": True}
     results = cli.run(cli.build_config("aerts", seed=11, params=params)).results
     assert results["max_residual"] < 1e-10 and results["separate"] is False
