@@ -10,6 +10,7 @@ Nothing here draws outcomes or collapses states.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -47,7 +48,11 @@ class Pvm:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        labels, sizes = self.labels, self.sizes
+        labels = self.labels
+        try:
+            sizes = tuple(map(operator.index, self.sizes))
+        except TypeError:
+            raise InvalidArgument(f"outcome sizes must be integers: {self.sizes}") from None
         if len(set(labels)) != len(labels):
             raise InvalidArgument(f"outcome labels must be distinct, got {list(labels)}")
         b = np.array(self.basis, dtype=complex)
@@ -62,6 +67,7 @@ class Pvm:
             raise InvalidArgument(f"projectors {i} and {j} are not orthogonal" if i != j
                                   else f"projector {i} is not idempotent")
         object.__setattr__(self, "basis", hilbert._readonly(b))
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def dim(self) -> int:

@@ -165,17 +165,13 @@ def separation_verdict(
     if not rows or not cols:
         raise InvalidArgument(f"no possible outcome above tol={tol:g}: is the state normalized?")
     values = table.tolist()
-    missing = tuple(
-        (labels_a[i], labels_b[j]) for i in rows for j in cols if values[i][j] <= tol
-    )
+    missing = tuple((labels_a[i], labels_b[j]) for i in rows for j in cols if values[i][j] <= tol)
     return SeparationVerdict(
         separate=not missing,
         possible_a=tuple(labels_a[i] for i in rows),
         possible_b=tuple(labels_b[j] for j in cols),
         missing_couples=missing,
-        probabilities={
-            (x, y): p for x, row in zip(labels_a, values) for y, p in zip(labels_b, row)
-        },
+        probabilities=dict(zip(joint.label_pairs, table.ravel().tolist())),
         tol=tol,
     )
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -19,7 +19,7 @@ from seplab.bipartite import (
     joint_measurement,
     schmidt,
 )
-from seplab.errors import DimensionMismatch, NonCommuting
+from seplab.errors import DimensionMismatch, InvalidArgument, NonCommuting
 from seplab.hilbert import (
     SIGMA_X,
     SIGMA_Z,
@@ -31,7 +31,7 @@ from seplab.hilbert import (
     tensor_op,
     tensor_vec,
 )
-from seplab.measurement import Outcome, Pvm, all_probabilities, pvm_from_operator
+from seplab.measurement import SIGNS, Outcome, Pvm, all_probabilities, binary_pvm, pvm_from_operator
 from seplab.separation import construct_witness, separation_verdict, witness_joint
 
 Z_PVM = pvm_from_operator(SIGMA_Z)
@@ -46,7 +46,7 @@ def two_qubit(amplitudes) -> StateVector:
 
 def test_joint_measurement_z_z():
     joint = joint_measurement(Z_PVM, Z_PVM)
-    assert len(joint.couples) == 4
+    assert len(joint.label_pairs) == 4
     # each basis state fires exactly one couple: e_1 = |0>|1> gives (+1, -1)
     fired = []
     for k in range(4):
@@ -85,6 +85,13 @@ def test_schmidt_maximally_entangled_pairs(amplitudes):
     assert coeffs == pytest.approx([ROOT_HALF, ROOT_HALF], abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_schmidt_names_non_finite_amplitudes(bad):
+    psi = two_qubit([0.5, bad, 0.5, bad])
+    with pytest.raises(InvalidArgument, match=r"non-finite amplitudes at indices \[1, 3\]"):
+        schmidt(psi, QUBIT_PAIR)
+
+
 @given(seed=st.integers(0, 10_000), da=st.integers(2, 4), db=st.integers(2, 4))
 @settings(max_examples=40, deadline=None)
 def test_schmidt_reconstructs_the_state(seed, da, db):
@@ -105,7 +112,7 @@ def _flatten(joint, blocks_a, blocks_b) -> Pvm:
     """The couple family of ``joint`` as one PVM over labels ``x|y``, from the
     factor blocks: couple (x, y) spans the columns of B_x (x) B_y.  The Pvm
     constructor checks that the couple blocks make one orthonormal basis."""
-    outcomes = tuple(Outcome(f"{x.label}|{y.label}") for x, y in joint.couples)
+    outcomes = tuple(Outcome(f"{x}|{y}") for x, y in joint.label_pairs)
     couples = [np.kron(a, b) for a in blocks_a for b in blocks_b]
     return Pvm(outcomes, np.hstack(couples), tuple(c.shape[1] for c in couples))
 
@@ -173,6 +180,10 @@ def test_product_states_factorize(seed):
 
 # Factor dimensions with dim_a * dim_b <= 64, trivial factors included.
 FACTOR_DIMS = tuple((da, db) for da in range(1, 65) for db in range(1, 64 // da + 1))
+# None: every eigenvalue distinct; k: min(k, d) levels, degenerate when below d.
+LEVELS = st.one_of(st.none(), st.integers(1, 64))
+# "identity" and "zero" are binary_pvm(1) and binary_pvm(0): one block is empty.
+SIDES = st.sampled_from(("spectral", "spectral", "identity", "zero"))
 
 
 def _unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -190,13 +201,21 @@ def _observable(basis: np.ndarray, levels: int | None, rng: np.random.Generator)
     return Operator((basis * spectrum) @ basis.conj().T)
 
 
+def _side(basis: np.ndarray, kind: str, levels: int | None, rng: np.random.Generator) -> Pvm:
+    """A PVM diagonal in ``basis``: the spectral PVM of ``_observable``, or
+    the binary PVM of the identity or of zero (see ``SIDES``)."""
+    if kind == "spectral":
+        return pvm_from_operator(_observable(basis, levels, rng))
+    return binary_pvm(Operator(np.eye(len(basis)) * (kind == "identity")))
+
+
 def _assert_matches_dense(joint, psi: np.ndarray, tensor: bool) -> None:
     state = StateVector(psi)
     projs_a = [p.entries for p in joint.pvm_a.projectors]
     projs_b = [q.entries for q in joint.pvm_b.projectors]
     expected = dense_joint_table(projs_a, projs_b, psi, tensor)
     table = joint.probability_table(state)
-    assert list(table) == [(x.label, y.label) for x, y in joint.couples]
+    assert list(table) == [(x, y) for x in joint.pvm_a.labels for y in joint.pvm_b.labels]
     np.testing.assert_allclose(
         np.array(list(table.values())).reshape(expected.shape), expected, rtol=0, atol=1e-12
     )
@@ -214,31 +233,36 @@ def _assert_matches_dense(joint, psi: np.ndarray, tensor: bool) -> None:
         projected.reshape(len(couples), -1), [c @ psi for c in couples], rtol=0, atol=1e-12
     )
     np.testing.assert_allclose(
-        joint.ranks.ravel(), [np.trace(c).real for c in couples], rtol=0, atol=1e-10
+        joint.ranks.ravel(), [np.trace(c).real for c in couples], rtol=0, atol=1e-12
     )
 
 
 @given(
     seed=st.integers(0, 10_000),
     dims=st.sampled_from(FACTOR_DIMS),
-    levels=st.sampled_from((None, 1, 2, 3)),
+    levels=LEVELS,
+    kinds=st.tuples(SIDES, SIDES),
 )
+@example(seed=0, dims=(8, 8), levels=None, kinds=("spectral", "spectral"))
+@example(seed=0, dims=(4, 16), levels=3, kinds=("zero", "spectral"))
 @settings(max_examples=60, deadline=None)
-def test_tensor_joint_matches_dense_oracle(seed, dims, levels):
+def test_tensor_joint_matches_dense_oracle(seed, dims, levels, kinds):
     rng = np.random.default_rng(seed)
-    da, db = dims
-    ma = pvm_from_operator(_observable(_unitary(da, rng), levels, rng))
-    mb = pvm_from_operator(_observable(_unitary(db, rng), levels, rng))
-    _assert_matches_dense(joint_measurement(ma, mb), random_state(da * db, rng), tensor=True)
+    ma, mb = (_side(_unitary(d, rng), kind, levels, rng) for d, kind in zip(dims, kinds))
+    _assert_matches_dense(joint_measurement(ma, mb), random_state(dims[0] * dims[1], rng), tensor=True)
 
 
 @given(
     seed=st.integers(0, 10_000),
     dim=st.integers(1, 64),
-    levels=st.sampled_from((2, 3, 8)),  # 8 levels: non-degenerate up to dim 8
+    levels=LEVELS,
+    levels_b=st.integers(1, 8),
+    kind=SIDES,
 )
+@example(seed=0, dim=64, levels=None, levels_b=8, kind="spectral")
+@example(seed=0, dim=64, levels=5, levels_b=1, kind="identity")
 @settings(max_examples=40, deadline=None)
-def test_commuting_joint_matches_dense_oracle(seed, dim, levels):
+def test_commuting_joint_matches_dense_oracle(seed, dim, levels, levels_b, kind):
     rng = np.random.default_rng(seed)
     basis = _unitary(dim, rng)
     psi = random_state(dim, rng)
@@ -248,10 +272,31 @@ def test_commuting_joint_matches_dense_oracle(seed, dim, levels):
     p_a = Operator(basis[:, mask_a] @ basis[:, mask_a].conj().T)
     p_b = Operator(basis[:, mask_b] @ basis[:, mask_b].conj().T)
     _assert_matches_dense(witness_joint(p_a, p_b), psi, tensor=False)
-    # many-outcome PVMs of two observables sharing that eigenbasis
-    ma = pvm_from_operator(_observable(basis, levels, rng))
-    mb = pvm_from_operator(_observable(basis, levels, rng))
+    # PVMs sharing that eigenbasis: side A has 1 to d levels, side B at most 8,
+    # which bounds the oracle's k_A * k_B dense couple projectors
+    ma = _side(basis, kind, levels, rng)
+    mb = pvm_from_operator(_observable(basis, levels_b, rng))
     _assert_matches_dense(commuting_joint(ma, mb), psi, tensor=False)
+
+
+@pytest.mark.parametrize("dim", [2, 64])
+def test_commutation_tolerance_is_read_in_the_eigenbasis_of_side_a(dim):
+    """Side B is side A's basis with column 0 (in A's + block) and column
+    d - 1 (in its - block) turned by an angle t.  In A's eigenbasis the
+    largest commutator entry is sin t cos t, so t = 1e-12 passes
+    ``COMMUTATION_TOL`` = 1e-10 and t = 1e-8 does not."""
+    basis = _unitary(dim, np.random.default_rng(dim))
+    side_a = Pvm(SIGNS, basis, (dim // 2, dim - dim // 2))
+    for angle, commutes in ((1e-12, True), (1e-8, False)):
+        c, s = math.cos(angle), math.sin(angle)
+        turn = np.eye(dim)
+        turn[[0, -1, 0, -1], [0, -1, -1, 0]] = c, c, -s, s
+        side_b = Pvm(SIGNS, basis @ turn, (dim // 2, dim - dim // 2))
+        if commutes:
+            commuting_joint(side_a, side_b)
+        else:
+            with pytest.raises(NonCommuting, match=r"1\.000e-08"):
+                commuting_joint(side_a, side_b)
 
 
 @given(seed=st.integers(0, 10_000), dims=st.sampled_from(FACTOR_DIMS[1:]))
@@ -275,9 +320,13 @@ def test_table_and_verdict_never_lift_the_factor_pvms(monkeypatch):
         check(self)
 
     monkeypatch.setattr(Pvm, "__post_init__", spy)
+    monkeypatch.setattr(Pvm, "projectors", property(lambda self: pytest.fail("dense projectors")))
     joint.probability_table(psi)
     separation_verdict(joint, psi)
     construct_witness(joint, np.random.default_rng(0))
+    commuting, zero = commuting_joint(Z_PVM, Z_PVM), basis_vector(2, 0)
+    separation_verdict(commuting, zero)
+    commuting.project(zero)
     assert built == []
 
 

@@ -140,6 +140,8 @@ _THREE_LEVELS = Operator(np.diag([0.0, 1.0, 2.0]))
         lambda: Pvm(_AB, np.eye(hilbert.DIM_CAP + 1), (1, hilbert.DIM_CAP)),
         lambda: Pvm(_AB, np.diag([np.nan, 1.0]), (1, 1)),
         lambda: binary_pvm(Operator(np.diag([np.nan, 1.0]))),
+        lambda: Pvm(_AB, np.eye(2), (1.5, 0.5)),  # sizes that sum to d but are not integers
+        lambda: Pvm(_AB, np.eye(2), 2),  # sizes that are not a sequence
     ],
 )
 def test_bad_arguments_raise_invalid_argument(call):

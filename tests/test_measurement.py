@@ -118,6 +118,13 @@ def test_expectation_round_trip_through_spectral_pvm(seed, dim):
     assert spectral == pytest.approx(direct, abs=1e-9)
 
 
+@pytest.mark.parametrize("sizes", [[1, 1], np.array([1, 1]), (np.int64(1), True)])
+def test_pvm_stores_its_sizes_as_a_tuple_of_ints(sizes):
+    m = Pvm((Outcome("a"), Outcome("b")), np.eye(2), sizes)
+    assert m.sizes == (1, 1) and all(type(k) is int for k in m.sizes)
+    assert [b.shape for b in m.blocks] == [(2, 1), (2, 1)]
+
+
 def test_a_pvm_keeps_its_basis_not_its_projectors():
     """A non-degenerate dim-64 PVM holds one 64 KB basis; its 64 dense
     projectors (4 MB) are rebuilt on each read and not kept."""
