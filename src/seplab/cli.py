@@ -143,7 +143,8 @@ PARAMS: dict[str, tuple[Param, ...]] = {
         Param("rank_a", "int", 1, "rank of the side A projector, below dim_a"),
         Param("rank_b", "int", 1, "rank of the side B projector, below dim_b"),
         Param("random_pair", "bool", False, "Haar-random projectors instead of basis ones"),
-        Param("tol", "float", hilbert.POSSIBILITY_TOL, "verdict possibility threshold, below 0.5"),
+        Param("tol", "float", hilbert.POSSIBILITY_TOL,
+              f"verdict possibility threshold, from {hilbert.PROBABILITY_TOL:g} to below 0.5"),
     ),
     "chsh": (_STATE, _ANGLES_A, _ANGLES_B),
     "models": (
@@ -214,6 +215,10 @@ def _check_aerts(p: dict[str, Any]) -> None:
         raise ConfigError(f"dim_a * dim_b must be at most {DIM_CAP}")
     if p["tol"] >= 0.5:
         raise ConfigError("'tol' must be below 0.5: every marginal of the witness is 1/2")
+    if p["tol"] < hilbert.PROBABILITY_TOL:
+        raise ConfigError(
+            f"'tol' must be at least {hilbert.PROBABILITY_TOL:g}, or rounding residue counts as possible"
+        )
 
 
 def build_config(
@@ -376,10 +381,10 @@ def _run_product_test(config: ScenarioConfig, rng: np.random.Generator) -> dict[
     for entity_name, stream in zip(chosen, streams):
         entity = product_test.ENTITY_CORPUS[entity_name]()
         tests = sorted(entity.tests)
-        individual = {t: product_test.is_actual(entity, t).actual for t in tests}
+        individual = {t: product_test.is_actual(entity, t) for t in tests}
         cert = product_test.meet_actual(entity, tests, config.samples, stream)
         results[entity_name] = {
-            "state": entity.current,
+            "state": entity.state,
             "tests": individual,
             "meet_actual": cert.actual,
             "trials": cert.trials,

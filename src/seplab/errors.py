@@ -22,7 +22,7 @@ class EmptySubspace(SeplabError):
 
 
 class UnknownTest(SeplabError):
-    """Named test is not defined for this entity (or its current state)."""
+    """Named test or observable is not defined for this entity or protocol."""
 
 
 class InvalidArgument(SeplabError, ValueError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, NotHermitian
+from .errors import InvalidArgument, NotHermitian
 
 # Hard cap on space dimension; raise it consciously, not by accident.
 DIM_CAP = 64
@@ -43,8 +43,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class StateVector:
     """Complex vector in a finite-dimensional Hilbert space.
 
-    Not required to be normalized on construction; ``normalize`` returns a
-    unit-norm copy and is the invariant every physical state goes through.
+    Not required to be normalized on construction: ``normalize`` returns a
+    unit-norm copy for a caller that wants one, and an operation that needs a
+    unit vector checks the norm itself (as ``no_cloning_witness`` does).
     """
 
     amplitudes: np.ndarray
@@ -150,14 +151,6 @@ def tensor_vec(a: StateVector, b: StateVector) -> StateVector:
 def tensor_op(A: Operator, B: Operator) -> Operator:
     """Kronecker product of operators, same index convention as tensor_vec."""
     return Operator(np.kron(A.entries, B.entries))
-
-
-def commutator_norm(A: Operator, B: Operator) -> float:
-    """Max-entry magnitude of AB - BA."""
-    if A.dim != B.dim:
-        raise DimensionMismatch(f"dims {A.dim} and {B.dim}")
-    c = A.entries @ B.entries - B.entries @ A.entries
-    return float(np.abs(c).max())
 
 
 def spectral_decomposition(O: Operator) -> tuple[tuple[float, ...], np.ndarray, tuple[int, ...]]:

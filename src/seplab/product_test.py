@@ -1,12 +1,11 @@
 """Operational property tests, meet certification, and the prediction protocol.
 
-An entity is a little stochastic machine: executing a named test on it draws
-a (positive/negative, next state) branch and transitions it, possibly
-destructively.  A property is *actual* when the positive outcome is certain
-in advance, which is decided by inspecting the branch distribution without
-executing anything.  The meet of several properties is certified by the
-product test: pick one constituent test uniformly at random and execute it;
-the positive outcome is certain iff every constituent is individually
+An entity sits in one state, and each of its named tests comes out positive
+on that state with a fixed probability.  A property is *actual* when the
+positive outcome is certain in advance, which is read off that probability
+without executing anything.  The meet of several properties is certified by
+the product test: pick one constituent test uniformly at random and execute
+it; the positive outcome is certain iff every constituent is individually
 certain.
 
 The prediction protocol plays the same certification game on a qubit pair:
@@ -20,7 +19,7 @@ rate is exactly 1 for every seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -31,70 +30,42 @@ from .measurement import pvm_from_operator
 
 
 @dataclass(frozen=True)
-class Branch:
-    probability: float
-    positive: bool
-    next_state: str
-
-
-# test name -> current state -> branch distribution
-TestTable = Mapping[str, Mapping[str, tuple[Branch, ...]]]
-
-
-@dataclass
 class TestableEntity:
-    """Mutable state machine with named, possibly destructive tests."""
+    """An entity in one state, with the probability that each named test
+    comes out positive on it."""
 
     __test__ = False  # not a pytest case, despite the name
 
     name: str
-    current: str
-    tests: TestTable
+    state: str
+    tests: Mapping[str, float]  # test name -> P(positive) on ``state``
 
     def __post_init__(self) -> None:
-        for test, by_state in self.tests.items():
-            for state, branches in by_state.items():
-                if any(b.probability < -PROBABILITY_TOL for b in branches):
-                    raise InvalidArgument(f"test {test!r} on state {state!r} has a branch below 0")
-                total = sum(b.probability for b in branches)
-                if abs(total - 1.0) > PROBABILITY_TOL:
-                    raise InvalidArgument(
-                        f"test {test!r} on state {state!r} sums to {total}"
-                    )
+        for test, p in self.tests.items():
+            # NaN fails both comparisons, so only finite values pass
+            if not -PROBABILITY_TOL <= p <= 1.0 + PROBABILITY_TOL:
+                raise InvalidArgument(
+                    f"test {test!r} on state {self.state!r} is positive with probability {p}"
+                )
 
-    def branches(self, test: str) -> tuple[Branch, ...]:
+    def probability(self, test: str) -> float:
+        """P(positive) of ``test`` on the entity's state."""
         if test not in self.tests:
             raise UnknownTest(f"{self.name} has no test {test!r}")
-        by_state = self.tests[test]
-        if self.current not in by_state:
-            raise UnknownTest(
-                f"test {test!r} undefined on state {self.current!r} of {self.name}"
-            )
-        return by_state[self.current]
+        return self.tests[test]
 
 
 @dataclass(frozen=True)
 class PropertyCertificate:
-    properties: tuple[str, ...]
     actual: bool
-    method: str  # "direct" or "product-test"
-    trials: int = 0
-    positives: int = 0
+    trials: int
+    positives: int
 
 
-class ProductTestResult(NamedTuple):
-    selected: str
-    positive: bool
-    state: str
-
-
-def is_actual(entity: TestableEntity, test: str) -> PropertyCertificate:
-    """Certify one property by inspection: actual iff every branch with
-    positive probability is positive.  Never transitions the entity; the
-    certification is counterfactual."""
-    branches = entity.branches(test)
-    actual = all(b.positive for b in branches if b.probability > PROBABILITY_TOL)
-    return PropertyCertificate((test,), actual, method="direct")
+def is_actual(entity: TestableEntity, test: str) -> bool:
+    """Certify one property by inspection: actual iff the positive outcome is
+    certain.  Executes nothing; the certification is counterfactual."""
+    return entity.probability(test) >= 1.0 - PROBABILITY_TOL
 
 
 def _pick(weights: Sequence[float], u: float) -> int:
@@ -108,34 +79,6 @@ def _pick(weights: Sequence[float], u: float) -> int:
     return len(weights) - 1
 
 
-def _require_tests(tests: Sequence[str]) -> None:
-    if len(tests) < 1:
-        raise InvalidArgument("product test needs at least one constituent test")
-
-
-def _draw(
-    entity: TestableEntity, tests: Sequence[str], rng: np.random.Generator
-) -> tuple[str, Branch]:
-    """One product-test draw on the entity's current state: a constituent
-    test chosen uniformly at random, then one of its branches.  The entity
-    does not move."""
-    selected = tests[int(rng.integers(len(tests)))]
-    branches = entity.branches(selected)
-    return selected, branches[_pick([b.probability for b in branches], rng.random())]
-
-
-def product_test(
-    entity: TestableEntity, tests: Sequence[str], rng: np.random.Generator
-) -> ProductTestResult:
-    """Select one of the tests uniformly at random and execute it once,
-    transitioning the entity.  A single-entry list degenerates to direct
-    execution."""
-    _require_tests(tests)
-    selected, chosen = _draw(entity, tests, rng)
-    entity.current = chosen.next_state
-    return ProductTestResult(selected, chosen.positive, chosen.next_state)
-
-
 def meet_actual(
     entity: TestableEntity,
     tests: Sequence[str],
@@ -144,62 +87,53 @@ def meet_actual(
 ) -> PropertyCertificate:
     """Certify the meet of the named properties via the product test.
 
-    The verdict is the conjunction of the individual certifications; every
-    trial draws the product test on the entity's current state, which no
-    trial moves, and double-checks the equivalence (a positive verdict with
-    any failing trial is a corpus bug and raises).
+    The verdict is the conjunction of the individual certifications.  Each
+    trial draws the product test on the entity's state: a constituent index
+    from ``rng.integers``, then ``u = rng.random()``, positive iff ``u`` is
+    below that test's probability.  A positive verdict with any failing
+    trial is a corpus bug and raises.
     """
-    _require_tests(tests)
-    actual = all(is_actual(entity, t).actual for t in tests)
-    positives = sum(_draw(entity, tests, rng)[1].positive for _ in range(trials))
+    if len(tests) < 1:
+        raise InvalidArgument("product test needs at least one constituent test")
+    probabilities = [entity.probability(t) for t in tests]
+    actual = all(is_actual(entity, t) for t in tests)
+    positives = 0
+    for _ in range(trials):
+        p = probabilities[int(rng.integers(len(tests)))]  # the index is drawn before u
+        positives += rng.random() < p
     if actual and positives != trials:
         raise SeplabError(
             f"corpus bug: {entity.name}: {list(tests)} actual, {trials - positives} trials failed"
         )
-    return PropertyCertificate(
-        tuple(tests), actual, method="product-test", trials=trials, positives=positives
-    )
+    return PropertyCertificate(actual, trials, positives)
 
 
 # ---------------------------------------------------------------------------
 # entity corpus
 
-_CUBE_TESTS: TestTable = {
-    "burn": {
-        "intact": (Branch(1.0, True, "burned"),),
-        "wet": (Branch(1.0, False, "wet"),),
-        "burned": (Branch(1.0, False, "burned"),),
-    },
-    "float": {
-        "intact": (Branch(1.0, True, "wet"),),
-        "wet": (Branch(1.0, True, "wet"),),
-        "burned": (Branch(1.0, False, "burned"),),
-    },
+# The wooden cube's tests are mutually destructive: burning an intact cube
+# leaves it burned, where it no longer floats, and floating it leaves it wet,
+# where it no longer burns.  No run executes both, which is why the product
+# test picks one at random.  state -> test -> P(positive)
+_CUBE_TESTS: Mapping[str, Mapping[str, float]] = {
+    "intact": {"burn": 1.0, "float": 1.0},
+    "wet": {"burn": 0.0, "float": 1.0},
+    "burned": {"burn": 0.0, "float": 0.0},
 }
 
 
 def wooden_cube(state: str = "intact") -> TestableEntity:
-    """The wooden cube: burnable and floatable while intact, with mutually
-    destructive tests (burning ends floatability, wetting ends burnability)."""
-    if state not in ("intact", "wet", "burned"):
+    """The wooden cube: burnable and floatable while intact."""
+    if state not in _CUBE_TESTS:
         raise InvalidArgument(f"unknown cube state {state!r}")
-    return TestableEntity("wooden-cube", state, _CUBE_TESTS)
+    return TestableEntity("wooden-cube", state, _CUBE_TESTS[state])
 
 
 def flaky_entity(p_second: float = 0.5) -> TestableEntity:
     """Two-test entity whose first test is certain and second succeeds with
     probability ``p_second``; the meet is never actual for p_second < 1 and
     product-test trials fail with frequency (1 - p_second) / 2."""
-    tests: TestTable = {
-        "t1": {"ready": (Branch(1.0, True, "spent"),)},
-        "t2": {
-            "ready": (
-                Branch(p_second, True, "spent"),
-                Branch(1.0 - p_second, False, "spent"),
-            )
-        },
-    }
-    return TestableEntity("flaky", "ready", tests)
+    return TestableEntity("flaky", "ready", {"t1": 1.0, "t2": p_second})
 
 
 ENTITY_CORPUS = {

@@ -25,7 +25,7 @@ import numpy as np
 from . import bipartite
 from .bipartite import JointMeasurement
 from .errors import DimensionMismatch, EmptySubspace, InvalidArgument
-from .hilbert import CLONING_DEFECT_TOL, POSSIBILITY_TOL, UNIT_TOL, StateVector
+from .hilbert import CLONING_DEFECT_TOL, POSSIBILITY_TOL, PROBABILITY_TOL, UNIT_TOL, StateVector
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +156,10 @@ def separation_verdict(
 ) -> SeparationVerdict:
     """Decide whether the two sides of ``joint`` act as separate measurements
     on ``psi``: every couple of marginally possible outcomes must be jointly
-    possible above ``tol``."""
+    possible above ``tol``.  A ``tol`` below ``PROBABILITY_TOL`` raises
+    :class:`InvalidArgument`: it would count rounding residue as possible."""
+    if not tol >= PROBABILITY_TOL:
+        raise InvalidArgument(f"tol={tol:g} is below PROBABILITY_TOL={PROBABILITY_TOL:g}")
     table = joint.table(psi)
     # both PVMs are complete, so the row and column sums are the marginals
     labels_a, labels_b = joint.pvm_a.labels, joint.pvm_b.labels

@@ -281,6 +281,22 @@ def test_aerts_tol_at_a_witness_marginal_is_a_config_error(tol, capsys):
     assert "'tol' must be below 0.5" in err
 
 
+@pytest.mark.parametrize("tol", ["0", "1e-300", "9e-13"])
+def test_aerts_tol_below_probability_tol_is_a_config_error(tol, capsys):
+    """On this random pair the blocked couples carry about 3e-32 of rounding
+    residue: a tol below it would call the witness separate."""
+    assert cli.main(["aerts", "--random-pair", "--seed", "11", "--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "'tol' must be at least 1e-12" in err
+
+
+def test_aerts_tol_at_probability_tol_still_finds_the_missing_couples():
+    report = run(build_config("aerts", seed=11, params={"random_pair": True, "tol": 1e-12}))
+    assert report.results["separate"] is False
+    assert report.results["missing_couples"] == ["+,+", "-,-"]
+
+
 def test_aerts_dimension_product_capped(tmp_path, capsys):
     assert cli.main(["aerts", "--dim-a", "9", "--dim-b", "9"]) == 2
     assert "dim_a * dim_b" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from seplab.errors import InvalidArgument
 from seplab.hilbert import Operator, StateVector, basis_vector, haar_projector, normalize
 from seplab.measurement import Outcome, Pvm, binary_pvm, pvm_from_operator
 from seplab.product_test import (
-    Branch,
     TestableEntity,
     epr_protocol,
     flaky_entity,
@@ -119,7 +118,7 @@ _THREE_LEVELS = Operator(np.diag([0.0, 1.0, 2.0]))
         lambda: Pvm(_AB, np.array([[1.0, 1.0], [0.0, 0.0]]), (1, 1)),
         lambda: Pvm(_AB, np.array([[1.0, 0.0], [0.0, 0.0]]), (1, 1)),
         lambda: BipartiteSpace(0, 2),
-        lambda: TestableEntity("e", "s", {"t": {"s": (Branch(0.5, True, "s"),)}}),
+        lambda: TestableEntity("e", "s", {"t": 1.0 + 1e-11}),  # past PROBABILITY_TOL
         lambda: wooden_cube("soggy"),
         lambda: meet_actual(wooden_cube(), [], 1, np.random.default_rng(0)),
         lambda: epr_protocol(StateVector(np.eye(4)[0]), rng=None),
@@ -132,7 +131,7 @@ _THREE_LEVELS = Operator(np.diag([0.0, 1.0, 2.0]))
         lambda: meet_actual(wooden_cube(), [], 0, np.random.default_rng(0)),  # no trial to draw
         lambda: haar_projector(4, -1, np.random.default_rng(0)),
         lambda: haar_projector(2, 5, np.random.default_rng(0)),
-        lambda: flaky_entity(1.5),  # branches 1.5 and -0.5
+        lambda: flaky_entity(1.5),
         lambda: flaky_entity(-0.5),
         lambda: Pvm(_AB, np.eye(2), (3, -1)),  # a negative size
         lambda: Pvm(_AB, np.eye(2), (1, 2)),  # sizes that do not sum to d
@@ -142,6 +141,8 @@ _THREE_LEVELS = Operator(np.diag([0.0, 1.0, 2.0]))
         lambda: binary_pvm(Operator(np.diag([np.nan, 1.0]))),
         lambda: Pvm(_AB, np.eye(2), (1.5, 0.5)),  # sizes that sum to d but are not integers
         lambda: Pvm(_AB, np.eye(2), 2),  # sizes that are not a sequence
+        lambda: flaky_entity(math.nan),
+        lambda: TestableEntity("e", "s", {"t": math.inf}),
     ],
 )
 def test_bad_arguments_raise_invalid_argument(call):

@@ -7,13 +7,11 @@ from seplab.errors import DimensionMismatch, InvalidArgument, SeplabError, Unkno
 from seplab.hilbert import StateVector
 from seplab.measurement import Pvm
 from seplab.product_test import (
-    Branch,
     TestableEntity,
     epr_protocol,
     flaky_entity,
     is_actual,
     meet_actual,
-    product_test,
     wooden_cube,
 )
 
@@ -25,63 +23,37 @@ ZERO_ZERO = StateVector(np.array([1, 0, 0, 0]))
 
 def test_intact_cube_properties_are_actual():
     cube = wooden_cube()
-    assert is_actual(cube, "burn").actual
-    assert is_actual(cube, "float").actual
-    assert cube.current == "intact"  # certification is counterfactual
+    assert is_actual(cube, "burn") is True
+    assert is_actual(cube, "float") is True
+    assert cube.state == "intact"
 
 
 def test_disturbed_cubes_lose_properties():
-    assert not is_actual(wooden_cube("wet"), "burn").actual
-    assert is_actual(wooden_cube("wet"), "float").actual
-    assert not is_actual(wooden_cube("burned"), "float").actual
+    assert not is_actual(wooden_cube("wet"), "burn")
+    assert is_actual(wooden_cube("wet"), "float")
+    assert not is_actual(wooden_cube("burned"), "float")
 
 
 def test_unknown_test_raises():
     with pytest.raises(UnknownTest):
         is_actual(wooden_cube(), "taste")
-    entity = TestableEntity(
-        "partial", "b", {"t": {"a": (Branch(1.0, True, "a"),)}}
-    )
     with pytest.raises(UnknownTest):
-        is_actual(entity, "t")  # defined, but not on the current state
+        meet_actual(wooden_cube(), ["burn", "taste"], 1, np.random.default_rng(0))
 
 
 def test_branch_distributions_must_normalize():
-    with pytest.raises(ValueError):
-        TestableEntity("bad", "s", {"t": {"s": (Branch(0.7, True, "s"),)}})
-
-
-def test_product_test_on_intact_cube_always_positive():
-    for seed in range(25):
-        cube = wooden_cube()
-        result = product_test(cube, ["burn", "float"], np.random.default_rng(seed))
-        assert result.positive
-        assert result.selected in ("burn", "float")
-        assert cube.current in ("burned", "wet")  # execution is destructive
-
-
-def test_product_test_on_burned_cube_fails_under_some_seed():
-    outcomes = set()
-    for seed in range(25):
-        result = product_test(
-            wooden_cube("burned"), ["burn", "float"], np.random.default_rng(seed)
-        )
-        outcomes.add(result.positive)
-    assert outcomes == {False}  # both constituent tests are negative when burned
-
-
-def test_product_test_single_repeated_test_reduces_to_direct_execution():
-    cube = wooden_cube()
-    result = product_test(cube, ["burn"], np.random.default_rng(0))
-    assert result == ("burn", True, "burned")
-    with pytest.raises(ValueError):
-        product_test(wooden_cube(), [], np.random.default_rng(0))
+    """A test's positive and negative branches, p and 1 - p, must both be
+    probabilities, to within PROBABILITY_TOL."""
+    for p in (1.0 + 1e-11, -1e-11):
+        with pytest.raises(ValueError):
+            TestableEntity("bad", "s", {"t": p})
+    # rounding within PROBABILITY_TOL is accepted, and a near-certain test is actual
+    assert is_actual(TestableEntity("edge", "s", {"t": 1.0 + 1e-13, "u": -1e-13}), "t")
 
 
 def test_meet_actual_intact_cube_full_trials_positive():
     cert = meet_actual(wooden_cube(), ["burn", "float"], 1000, np.random.default_rng(1))
     assert cert.actual
-    assert cert.method == "product-test"
     assert (cert.trials, cert.positives) == (1000, 1000)
 
 
@@ -96,15 +68,15 @@ def test_meet_actual_flaky_entity_quarter_failure_rate():
 
 def test_meet_over_one_test_equals_direct_certification():
     for state in ("intact", "wet", "burned"):
-        direct = is_actual(wooden_cube(state), "float").actual
+        direct = is_actual(wooden_cube(state), "float")
         meet = meet_actual(wooden_cube(state), ["float"], 50, np.random.default_rng(3))
         assert meet.actual == direct
 
 
 def test_meet_actual_corpus_bug_is_a_seplab_error():
     class HighRng:
-        """Draws the top of every range: past the 1 - 1e-13 positive branch,
-        onto the zero-weight negative branch that inspection ignores."""
+        """Draws the top of every range: past the 1 - 1e-13 positive
+        probability, which inspection counts as certain."""
 
         def integers(self, n):
             return 0
@@ -112,9 +84,8 @@ def test_meet_actual_corpus_bug_is_a_seplab_error():
         def random(self):
             return math.nextafter(1.0, 0.0)
 
-    table = {"t": {"ready": (Branch(1.0 - 1e-13, True, "spent"), Branch(0.0, False, "spent"))}}
-    entity = TestableEntity("leaky", "ready", table)
-    assert is_actual(entity, "t").actual
+    entity = TestableEntity("leaky", "ready", {"t": 1.0 - 1e-13})
+    assert is_actual(entity, "t")
     with pytest.raises(SeplabError, match=r"leaky: \['t'\] actual, 3 trials failed"):
         meet_actual(entity, ["t"], 3, HighRng())
 
@@ -130,23 +101,31 @@ def test_meet_actual_neither_moves_nor_copies_the_entity(monkeypatch):
 
     monkeypatch.setattr(TestableEntity, "__post_init__", spy)
     meet_actual(entity, ["t1", "t2"], 200, np.random.default_rng(4))
-    assert entity.current == "ready"
+    assert (entity.state, entity.tests) == ("ready", {"t1": 1.0, "t2": 0.5})
     assert built == []
 
 
 def test_meet_actual_draws_as_product_tests_on_fresh_entities():
-    for seed in range(5):
-        cert = meet_actual(flaky_entity(), ["t1", "t2"], 300, np.random.default_rng(seed))
-        rng = np.random.default_rng(seed)
-        fresh = [product_test(flaky_entity(), ["t1", "t2"], rng) for _ in range(300)]
-        assert cert.positives == sum(r.positive for r in fresh)
+    """Each trial draws the test index with ``integers`` first, then
+    ``u = random()``, and is positive iff u < P(positive); the golden
+    product-test reports depend on that order."""
+    for p_second in (0.5, 0.25, 1.0):
+        entity = flaky_entity(p_second)
+        for seed in range(5):
+            cert = meet_actual(entity, ["t1", "t2"], 300, np.random.default_rng(seed))
+            rng, probabilities = np.random.default_rng(seed), [1.0, p_second]
+            replay = 0
+            for _ in range(300):
+                p = probabilities[rng.integers(2)]
+                replay += rng.random() < p
+            assert cert.positives == replay
 
 
 @pytest.mark.parametrize("state", ["intact", "wet", "burned"])
 def test_piron_equivalence_over_cube_corpus(state):
     cube = wooden_cube(state)
     tests = ["burn", "float"]
-    conjunction = all(is_actual(cube, t).actual for t in tests)
+    conjunction = all(is_actual(cube, t) for t in tests)
     cert = meet_actual(cube, tests, 400, np.random.default_rng(7))
     assert cert.actual == conjunction
     if conjunction:

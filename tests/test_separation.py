@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import dense_joint_table, kron_loops, random_state
 from seplab import cli
 from seplab.bipartite import joint_measurement
-from seplab.errors import EmptySubspace, NonCommuting
+from seplab.errors import EmptySubspace, InvalidArgument, NonCommuting
 from seplab.hilbert import (
     SIGMA_X,
     SIGMA_Z,
@@ -305,6 +305,14 @@ def test_verdict_tolerance_monotonicity_and_consistency(seed):
         for x, y in verdict.missing_couples:
             assert x in verdict.possible_a and y in verdict.possible_b
             assert verdict.probabilities[(x, y)] <= verdict.tol
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-300, 9e-13, math.nan])
+def test_verdict_rejects_a_tol_below_probability_tol(tol):
+    joint, psi = witness_joint(P_A_QUBIT, P_B_QUBIT), qubit_witness().psi
+    with pytest.raises(InvalidArgument, match="PROBABILITY_TOL"):
+        separation_verdict(joint, psi, tol=tol)
+    assert separation_verdict(joint, psi, tol=1e-12).missing_couples == (("+", "+"), ("-", "-"))
 
 
 def test_no_cloning_certificates():
