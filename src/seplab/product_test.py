@@ -9,11 +9,11 @@ it; the positive outcome is certain iff every constituent is individually
 certain.
 
 The prediction protocol plays the same certification game on a qubit pair:
-per trial, pick one of two incompatible observables at random, measure it on
-station B, predict station A's outcome from the exact conditional
-distribution, then measure A and score the prediction.  On a maximally
-correlated state the prediction is certain for both observables, so the hit
-rate is exactly 1 for every seed.
+per trial, pick one of the observables at random, measure it on station B,
+predict station A's outcome from the exact conditional distribution, then
+measure A and score the prediction; the trials' tallies are counted draws
+from the exact tables.  On a maximally correlated state the prediction is
+certain for every observable, so the hit rate is exactly 1 for every seed.
 """
 
 from __future__ import annotations
@@ -68,17 +68,6 @@ def is_actual(entity: TestableEntity, test: str) -> bool:
     return entity.probability(test) >= 1.0 - PROBABILITY_TOL
 
 
-def _pick(weights: Sequence[float], u: float) -> int:
-    """Inverse-CDF draw: the first index whose running sum of ``weights``
-    exceeds ``u``, else the last index."""
-    acc = 0.0
-    for k, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return k
-    return len(weights) - 1
-
-
 def meet_actual(
     entity: TestableEntity,
     tests: Sequence[str],
@@ -95,6 +84,8 @@ def meet_actual(
     """
     if len(tests) < 1:
         raise InvalidArgument("product test needs at least one constituent test")
+    if trials < 1:
+        raise InvalidArgument("need at least one trial")
     probabilities = [entity.probability(t) for t in tests]
     actual = all(is_actual(entity, t) for t in tests)
     positives = 0
@@ -178,9 +169,13 @@ def epr_protocol(
     predict side A's outcome as the argmax of the exact conditional
     distribution given the B result (ties break to the first outcome in PVM
     order), then draw A from that conditional and score a hit iff the
-    prediction came true.  ``min_confidence`` is the smallest argmax
-    conditional probability encountered; it equals 1 exactly when every
-    prediction was certain in advance.
+    prediction came true.  The trials are i.i.d., so their tallies are
+    counted draws whose time and memory do not grow with ``trials``: one
+    multinomial over the observables, then per observable in order one
+    multinomial over its kept B outcomes and one binomial of hits, at the
+    argmax confidence, per B outcome drawn at least once.  ``min_confidence``
+    is the smallest argmax confidence over the B outcomes drawn; it equals 1
+    exactly when every prediction was certain in advance.
     """
     if rng is None:
         raise InvalidArgument("pass an explicit numpy Generator")
@@ -188,54 +183,48 @@ def epr_protocol(
         raise DimensionMismatch(f"need a qubit pair (dim 4), got dim {psi.dim}")
     if not observables:
         raise InvalidArgument("need at least one observable name")
-    # Per observable, the exact (A outcome, B outcome) table fixes everything
-    # a trial needs: each possible B outcome's weight, and the conditional
-    # distribution of A given it with its argmax prediction and confidence.
+    if len(set(observables)) != len(observables):
+        raise InvalidArgument(f"observable names must be distinct: {list(observables)}")
+    if trials < 1:
+        raise InvalidArgument("need at least one trial")
+    bad = np.flatnonzero(~np.isfinite(psi.amplitudes))
+    if bad.size:
+        raise InvalidArgument(f"non-finite amplitudes at indices {bad.tolist()}")
+    # Per observable, the exact (A, B) table gives each kept B outcome's
+    # weight and the probability that A comes out at its predicted argmax.
     plans = []
     for name in observables:
         if name not in QUBIT_OBSERVABLES:
             raise UnknownTest(f"no qubit observable named {name!r}")
         pvm = pvm_from_operator(QUBIT_OBSERVABLES[name])
-        weights, branches = [], []
-        for column in joint_measurement(pvm, pvm).table(psi).T:
-            weight = float(column.sum())
-            if weight <= PROBABILITY_TOL:
-                continue  # a negligible B outcome is never drawn
-            cond = (column / weight).tolist()
-            predicted = int(np.argmax(cond))
-            weights.append(weight)
-            branches.append((cond, predicted, cond[predicted]))
-        if not weights:
+        table = joint_measurement(pvm, pvm).table(psi)
+        weights = table.sum(axis=0)
+        kept = weights > PROBABILITY_TOL  # a negligible B outcome is never drawn
+        if not kept.any():
             raise InvalidArgument(
                 f"observable {name}: no B outcome above {PROBABILITY_TOL:g}: "
                 "is the state normalized?"
             )
-        plans.append((name, weights, sum(weights), branches))
+        confidences = table.max(axis=0)[kept] / weights[kept]
+        plans.append((name, weights[kept] / weights[kept].sum(), confidences))
 
-    hits = 0
-    per_obs = {name: {"trials": 0, "hits": 0} for name in observables}
-    min_confidence = 1.0
-    for _ in range(trials):
-        name, weights, total, branches = plans[int(rng.integers(len(plans)))]
-        cond, predicted, confidence = branches[_pick(weights, rng.random() * total)]
-        min_confidence = min(min_confidence, confidence)
-        hit = _pick(cond, rng.random()) == predicted
-        hits += int(hit)
-        per_obs[name]["trials"] += 1
-        per_obs[name]["hits"] += int(hit)
-
-    per_observable = {
-        name: {
-            "trials": stats["trials"],
-            "hits": stats["hits"],
-            "hit_rate": stats["hits"] / stats["trials"] if stats["trials"] else 0.0,
+    hits, per_observable, drawn_confidences = 0, {}, []
+    picks = rng.multinomial(trials, [1 / len(plans)] * len(plans)).tolist()
+    for (name, weights, confidences), n_obs in zip(plans, picks):
+        counts = rng.multinomial(n_obs, weights)
+        drawn = counts > 0  # one binomial of hits per B outcome drawn, in order
+        obs_hits = int(rng.binomial(counts[drawn], confidences[drawn]).sum())
+        drawn_confidences += confidences[drawn].tolist()
+        hits += obs_hits
+        per_observable[name] = {
+            "trials": n_obs,
+            "hits": obs_hits,
+            "hit_rate": obs_hits / n_obs if n_obs else 0.0,
         }
-        for name, stats in per_obs.items()
-    }
     return EprReport(
         trials=trials,
         hits=hits,
-        hit_rate=hits / trials if trials else 0.0,
+        hit_rate=hits / trials,
         per_observable=per_observable,
-        min_confidence=min_confidence,
+        min_confidence=min(drawn_confidences),
     )

@@ -239,12 +239,19 @@ def test_non_finite_angles_exit_2(scenario, bad, capsys):
     assert "angles_a" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["chsh"], ["models", "--model", "all"]])
+@pytest.mark.parametrize(
+    "argv", [["chsh"], ["models", "--model", "all"], ["epr", "--observables", "Z,X,Y"]]
+)
 def test_huge_samples_run_without_per_trial_memory(argv, tmp_path):
     out = tmp_path / "r.json"
     samples = 2_000_000_000
     assert cli.main(argv + ["--samples", str(samples), "--out", str(out)]) == 0
     results = json.loads(out.read_text())["results"]
+    if argv[0] == "epr":  # the singlet: every prediction certain
+        assert results["trials"] == results["hits"] == samples
+        assert results["min_confidence"] == 1.0
+        assert sum(block["trials"] for block in results["per_observable"].values()) == samples
+        return
     blocks = [results] if argv == ["chsh"] else list(results.values())
     assert len(blocks) == (1 if argv == ["chsh"] else 3)
     assert all(block["samples_per_cell"] == samples for block in blocks)
@@ -445,9 +452,9 @@ def test_flag_and_config_file_give_identical_reports(scenario, name, tmp_path, m
     assert (config if name in ("seed", "samples") else config["params"])[name] == value
 
 
-# product-test and epr loop over their trials in Python, so the fuzz keeps
-# their samples small; chsh and models draw counts and take any size.
-SMALL_TRIALS = ("product-test", "epr")
+# product-test loops over its trials in Python, so the fuzz keeps its samples
+# small; chsh, models and epr draw counts and take any size.
+SMALL_TRIALS = ("product-test",)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),

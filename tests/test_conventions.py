@@ -143,6 +143,9 @@ _THREE_LEVELS = Operator(np.diag([0.0, 1.0, 2.0]))
         lambda: Pvm(_AB, np.eye(2), 2),  # sizes that are not a sequence
         lambda: flaky_entity(math.nan),
         lambda: TestableEntity("e", "s", {"t": math.inf}),
+        # trials < 1
+        lambda: meet_actual(wooden_cube("wet"), ["burn"], -5, np.random.default_rng(0)),
+        lambda: meet_actual(wooden_cube(), ["burn"], 0, np.random.default_rng(0)),
     ],
 )
 def test_bad_arguments_raise_invalid_argument(call):

@@ -171,20 +171,69 @@ def test_epr_reproducible_for_fixed_seed():
 
 def test_epr_draw_skips_negligible_b_branch():
     class LowRng:
-        """Always draws the bottom of every range, where the Z PVM puts the
-        B outcome -1, whose branch here carries probability 1e-13."""
+        """Puts every count at the bottom of the range, where the Z PVM puts
+        the B outcome -1, whose branch here carries probability 1e-13, and
+        scores a hit whenever one is possible."""
 
-        def integers(self, n):
-            return 0
+        def __init__(self):
+            self.pvals = []
 
-        def random(self):
-            return 0.0
+        def multinomial(self, n, pvals):
+            self.pvals.append(list(pvals))
+            return np.array([n] + [0] * (len(pvals) - 1))
+
+        def binomial(self, n, p):
+            return np.where(p > 0, n, 0)
 
     tiny = 1e-13
     psi = StateVector(np.array([math.sqrt(1.0 - tiny), math.sqrt(tiny), 0, 0]))
-    report = epr_protocol(psi, ("Z",), trials=3, rng=LowRng())
+    rng = LowRng()
+    report = epr_protocol(psi, ("Z",), trials=3, rng=rng)
     assert report.trials == 3
     assert report.hit_rate == 1.0
+    observables, b_outcomes = rng.pvals
+    assert observables == [1.0]
+    assert b_outcomes == [1.0]  # the 1e-13 outcome is not among the B outcomes drawn over
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_epr_draws_counts_in_a_fixed_order(seed):
+    """One multinomial over the observables; then, per observable in order,
+    one multinomial over its kept B outcomes and one binomial of hits per B
+    outcome drawn, at its argmax confidence.  The golden epr reports depend
+    on that order.  On |00>, Z keeps one B outcome predicted with certainty,
+    and X and Y keep two, each predicted with confidence 1/2."""
+    trials = 1000
+    report = epr_protocol(ZERO_ZERO, ("Z", "X", "Y"), trials, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    plans = {"Z": ([1.0], [1.0]), "X": ([0.5, 0.5], [0.5, 0.5]), "Y": ([0.5, 0.5], [0.5, 0.5])}
+    per_observable = {}
+    picks = rng.multinomial(trials, [1 / 3] * 3)
+    for (name, (weights, confidences)), n in zip(plans.items(), picks):
+        counts = rng.multinomial(n, weights)
+        hits = sum(rng.binomial(c, q) for c, q in zip(counts, confidences) if c > 0)
+        per_observable[name] = {"trials": n, "hits": hits, "hit_rate": hits / n}
+    assert report.per_observable == per_observable
+    assert report.hits == sum(stats["hits"] for stats in per_observable.values())
+    assert report.min_confidence == 0.5
+
+
+@pytest.mark.parametrize(
+    "amplitudes, observables, trials, message",
+    [
+        ([math.nan, 0, 0, 1], ("Z",), 10, r"non-finite amplitudes at indices \[0\]"),
+        ([1, 0, math.inf, 0], ("Z", "X"), 10, r"non-finite amplitudes at indices \[2\]"),
+        ([1, 0, 0, 0], ("Z", "Z"), 100, "observable names must be distinct"),
+        ([1, 0, 0, 0], ("X", "Y", "X"), 100, "observable names must be distinct"),
+        ([1, 0, 0, 0], ("Z",), 0, "at least one trial"),
+        ([1, 0, 0, 0], ("Z", "X"), -5, "at least one trial"),
+    ],
+    ids=["nan", "inf", "repeated-name", "repeated-name-of-three", "zero-trials", "negative-trials"],
+)
+def test_epr_rejects_bad_input(amplitudes, observables, trials, message):
+    psi = StateVector(np.array(amplitudes, dtype=complex))
+    with pytest.raises(InvalidArgument, match=message):
+        epr_protocol(psi, observables, trials, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("amplitudes", [[0, 0, 0, 0], [1e-7, 0, 0, 0]])
