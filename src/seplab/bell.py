@@ -15,21 +15,23 @@ table.  The sign convention is fixed project-wide:
 
 (1-based setting indices; the minus sits on the last cell).  Reports compare
 |S| against the classical bound 2, the quantum bound 2*sqrt(2), and the
-algebraic bound 4, so the convention never changes a verdict.  With this
-convention the singlet maximizer used as default is A in {0, pi/2},
-B in {pi/4, -pi/4}.
+algebraic bound 4, so flipping the overall sign (S -> -S) never changes a
+verdict.  Which cell carries the minus can: with B's two default angles
+swapped the singlet reads |S| = 0 here, yet 2*sqrt(2) with the minus on
+E(2,1) (ROADMAP item 11).  With this convention the singlet maximizer used
+as default is A in {0, pi/2}, B in {pi/4, -pi/4}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .bipartite import joint_measurement
-from .errors import DimensionMismatch, InvalidArgument
+from .errors import InvalidArgument
 from .hilbert import CHSH_BOUND_MARGIN, PROBABILITY_TOL
 from .hilbert import SIGMA_X, SIGMA_Z, Operator, StateVector
 from .measurement import Pvm, pvm_from_operator
@@ -38,6 +40,7 @@ CHSH_CONVENTION = "S = E(1,1) + E(1,2) + E(2,1) - E(2,2)"
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 ALGEBRAIC_BOUND = 4.0
+BOUNDS = {"classical": CLASSICAL_BOUND, "tsirelson": TSIRELSON_BOUND, "algebraic": ALGEBRAIC_BOUND}
 
 # Default singlet-optimal settings under the convention above.
 DEFAULT_ANGLES_A = (0.0, math.pi / 2)
@@ -87,14 +90,6 @@ class ChshReport:
 
     e_table: tuple[tuple[float, float], tuple[float, float]]
     s: float
-    convention: str = CHSH_CONVENTION
-    bounds: dict[str, float] = field(
-        default_factory=lambda: {
-            "classical": CLASSICAL_BOUND,
-            "tsirelson": TSIRELSON_BOUND,
-            "algebraic": ALGEBRAIC_BOUND,
-        }
-    )
     samples_per_cell: int | None = None
     stderr: tuple[tuple[float, float], tuple[float, float]] | None = None
 
@@ -131,9 +126,8 @@ def quantum_coincidence_model(
 ) -> CoincidenceModel:
     """Coincidence experiment on a two-qubit state with spin settings given
     as angles in the z-x plane; each cell's table is the joint measurement's
-    Born probability table."""
-    if psi.dim != 4:
-        raise DimensionMismatch(f"need a qubit pair (dim 4), got dim {psi.dim}")
+    Born probability table, which raises DimensionMismatch unless psi is a
+    qubit pair."""
     settings_a = tuple(float(t) for t in settings_a)
     settings_b = tuple(float(t) for t in settings_b)
     pvms_a = [pvm_from_operator(spin_observable(t)) for t in settings_a]

@@ -165,13 +165,10 @@ def schmidt(psi: StateVector, space: BipartiteSpace) -> list[tuple[float, StateV
 
     Reshapes the amplitudes into a dim_a x dim_b matrix and takes its SVD;
     coefficients are the singular values, so sum of squares equals the
-    squared norm of the state; non-finite amplitudes raise InvalidArgument.
+    squared norm of the state.
     """
     if psi.dim != space.dim:
         raise DimensionMismatch(f"state dim {psi.dim}, space dim {space.dim}")
-    bad = np.flatnonzero(~np.isfinite(psi.amplitudes))
-    if bad.size:
-        raise InvalidArgument(f"non-finite amplitudes at indices {bad.tolist()}")
     matrix = psi.amplitudes.reshape(space.dim_a, space.dim_b)
     u, s, vh = np.linalg.svd(matrix, full_matrices=False)
     return [

@@ -13,12 +13,14 @@ seed, version) triple maps to byte-identical JSON output.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +34,12 @@ from .separation import construct_witness, no_cloning_witness, separation_verdic
 SCHEMA_VERSION = 1
 SEED_ENV_VAR = "SEPLAB_SEED"
 
-_MODEL_NAMES = ("rock", "rod-dice", "vessels")
+# name -> factory taking the resolved params; the order fixes each model's child stream
+_MODELS = {
+    "rock": lambda p: classical_models.rock_model(p["angles_a"], p["angles_b"]),
+    "rod-dice": lambda p: classical_models.rod_dice_model(),
+    "vessels": lambda p: classical_models.vessels_model(),
+}
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 NAMED_STATES: dict[str, list[complex]] = {
@@ -148,7 +155,7 @@ PARAMS: dict[str, tuple[Param, ...]] = {
     ),
     "chsh": (_STATE, _ANGLES_A, _ANGLES_B),
     "models": (
-        Param("model", "choice", "all", "macroscopic model", (*_MODEL_NAMES, "all")),
+        Param("model", "choice", "all", "macroscopic model", (*_MODELS, "all")),
         _ANGLES_A,
         _ANGLES_B,
     ),
@@ -312,7 +319,7 @@ def _chsh_block(model: bell.CoincidenceModel, samples: int, rng: np.random.Gener
     sampled = bell.chsh_sampled(model, samples, rng)
     return {
         "convention": bell.CHSH_CONVENTION,
-        "bounds": dict(exact.bounds),
+        "bounds": dict(bell.BOUNDS),
         "e_exact": [list(row) for row in exact.e_table],
         "s_exact": exact.s,
         "abs_s_exact": abs(exact.s),
@@ -349,21 +356,17 @@ def _run_chsh(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, Any
     return block
 
 
-def _make_model(name: str, params: dict[str, Any]) -> bell.CoincidenceModel:
-    if name == "rock":
-        return classical_models.rock_model(params["angles_a"], params["angles_b"])
-    if name == "rod-dice":
-        return classical_models.rod_dice_model()
-    return classical_models.vessels_model()
+def _chosen(choice: str, names: Iterable[str], rng: np.random.Generator) -> Iterator[tuple]:
+    """(name, child stream) for ``choice``, or for every name in order when it is "all"."""
+    chosen = tuple(names) if choice == "all" else (choice,)
+    return zip(chosen, rng.spawn(len(chosen)))
 
 
 def _run_models(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, Any]:
     """CHSH for the macroscopic models."""
-    chosen = _MODEL_NAMES if config.params["model"] == "all" else (config.params["model"],)
-    streams = rng.spawn(len(chosen))
     results: dict[str, Any] = {}
-    for name, stream in zip(chosen, streams):
-        model = _make_model(name, config.params)
+    for name, stream in _chosen(config.params["model"], _MODELS, rng):
+        model = _MODELS[name](config.params)
         block = _chsh_block(model, config.samples, stream)
         block["settings_a"] = [str(s) for s in model.settings_a]
         block["settings_b"] = [str(s) for s in model.settings_b]
@@ -374,11 +377,8 @@ def _run_models(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, A
 
 def _run_product_test(config: ScenarioConfig, rng: np.random.Generator) -> dict[str, Any]:
     """Meet-property certification corpus."""
-    name = config.params["entity"]
-    chosen = tuple(product_test.ENTITY_CORPUS) if name == "all" else (name,)
-    streams = rng.spawn(len(chosen))
     results: dict[str, Any] = {}
-    for entity_name, stream in zip(chosen, streams):
+    for entity_name, stream in _chosen(config.params["entity"], product_test.ENTITY_CORPUS, rng):
         entity = product_test.ENTITY_CORPUS[entity_name]()
         tests = sorted(entity.tests)
         individual = {t: product_test.is_actual(entity, t) for t in tests}
@@ -484,71 +484,49 @@ def emit(report: Report, fmt: str = "json") -> str:
     raise ConfigError(f"unknown format {fmt!r}")
 
 
-def _fmt(v: Any) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "yes" if v else "no"
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.6g}"
-    return str(v)
-
-
-def _text_lines(prefix: str, obj: Any, lines: list[str]) -> None:
-    for k, v in obj.items():
-        if isinstance(v, dict):
-            _text_lines(f"{prefix}{k}.", v, lines)
-        elif isinstance(v, list) and v and isinstance(v[0], list):
-            for i, row in enumerate(v):
-                lines.append(f"  {prefix}{k}[{i}] = " + "  ".join(_fmt(x) for x in row))
-        elif isinstance(v, list):
-            lines.append(f"  {prefix}{k} = " + ", ".join(_fmt(x) for x in v))
+def _walk(tree: dict[str, Any], prefix: str = "") -> Iterator[tuple[str, int | None, Any]]:
+    """In key order, ``(path, None, value)`` for a scalar leaf, ``(path, None, list)``
+    for a flat list and ``(path, i, row)`` for row i of a list of rows."""
+    for key, value in tree.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict):
+            yield from _walk(value, path + ".")
+        elif isinstance(value, list) and value and isinstance(value[0], list):
+            for i, row in enumerate(value):
+                yield path, i, row
         else:
-            lines.append(f"  {prefix}{k} = {_fmt(v)}")
+            yield path, None, value
+
+
+def _fmt(v: Any) -> str:
+    if isinstance(v, bool):
+        return "yes" if v else "no"
+    if isinstance(v, float):
+        return f"{v:.6g}"
+    return str(v)
 
 
 def _emit_text(report: Report) -> str:
-    lines = [
-        f"scenario: {report.scenario}   seed: {report.seed}   "
-        f"samples: {report.config['samples']}   version: {report.version}"
-    ]
-    _text_lines("", _canonical(report.results), lines)
+    lines = [f"scenario: {report.scenario}   seed: {report.seed}   "
+             f"samples: {report.config['samples']}   version: {report.version}"]
+    for path, row, values in _walk(_canonical(report.results)):
+        index = "" if row is None else f"[{row}]"
+        if isinstance(values, list):  # a row is space-separated, a flat list comma-separated
+            values = ("  " if row is not None else ", ").join(map(_fmt, values))
+        lines.append(f"  {path}{index} = {_fmt(values)}")
     return "\n".join(lines) + "\n"
 
 
-def _csv_rows(section: str, obj: Any, rows: list[tuple[str, str, str, str]]) -> None:
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            key = f"{section}.{k}" if section else str(k)
-            _csv_rows(key, v, rows)
-    elif isinstance(obj, list) and obj and isinstance(obj[0], list):
-        for i, row in enumerate(obj):
-            for j, v in enumerate(row):
-                rows.append((section, str(i), str(j), _csv_value(v)))
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            rows.append((section, str(i), "", _csv_value(v)))
-    else:
-        rows.append((section, "", "", _csv_value(obj)))
-
-
-def _csv_value(v: Any) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
-
-
-def _csv_escape(field: str) -> str:
-    if "," in field or '"' in field or "\n" in field:
-        return '"' + field.replace('"', '""') + '"'
-    return field
-
-
 def _emit_csv(report: Report) -> str:
-    rows: list[tuple[str, str, str, str]] = []
-    _csv_rows("", _canonical(report.results), rows)
-    out = ["section,row,col,value"]
-    for fields in rows:
-        out.append(",".join(_csv_escape(f) for f in fields))
-    return "\n".join(out) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("section", "row", "col", "value"))
+    for path, row, values in _walk(_canonical(report.results)):
+        cells = enumerate(values) if isinstance(values, list) else [("", values)]  # a scalar: no index
+        for i, v in cells:
+            index = (i, "") if row is None else (row, i)  # the entries of a row are its columns
+            writer.writerow((path, *index, str(v).lower() if isinstance(v, bool) else str(v)))
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +616,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"seplab: config error: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioError, IoError, SeplabError) as exc:
+    except SeplabError as exc:
         print(f"seplab: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -41,7 +41,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Complex vector in a finite-dimensional Hilbert space.
+    """Complex vector in a finite-dimensional Hilbert space, with finite
+    amplitudes (a NaN or infinite one raises InvalidArgument naming its index).
 
     Not required to be normalized on construction: ``normalize`` returns a
     unit-norm copy for a caller that wants one, and an operation that needs a
@@ -58,6 +59,9 @@ class StateVector:
             raise InvalidArgument("state vector needs dimension >= 1")
         if amps.shape[0] > DIM_CAP:
             raise InvalidArgument(f"dimension {amps.shape[0]} exceeds DIM_CAP={DIM_CAP}")
+        if not np.isfinite(amps).all():
+            bad = np.flatnonzero(~np.isfinite(amps))
+            raise InvalidArgument(f"non-finite amplitudes at indices {bad.tolist()}")
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
     @property

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bipartite import joint_measurement
-from .errors import DimensionMismatch, InvalidArgument, SeplabError, UnknownTest
+from .errors import InvalidArgument, SeplabError, UnknownTest
 from .hilbert import PROBABILITY_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, StateVector
 from .measurement import pvm_from_operator
 
@@ -179,17 +179,12 @@ def epr_protocol(
     """
     if rng is None:
         raise InvalidArgument("pass an explicit numpy Generator")
-    if psi.dim != 4:
-        raise DimensionMismatch(f"need a qubit pair (dim 4), got dim {psi.dim}")
     if not observables:
         raise InvalidArgument("need at least one observable name")
     if len(set(observables)) != len(observables):
         raise InvalidArgument(f"observable names must be distinct: {list(observables)}")
     if trials < 1:
         raise InvalidArgument("need at least one trial")
-    bad = np.flatnonzero(~np.isfinite(psi.amplitudes))
-    if bad.size:
-        raise InvalidArgument(f"non-finite amplitudes at indices {bad.tolist()}")
     # Per observable, the exact (A, B) table gives each kept B outcome's
     # weight and the probability that A comes out at its predicted argmax.
     plans = []

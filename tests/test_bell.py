@@ -18,7 +18,7 @@ from seplab.bell import (
     spin_observable,
 )
 from seplab.classical_models import rod_dice_model
-from seplab.errors import InvalidArgument
+from seplab.errors import DimensionMismatch, InvalidArgument
 from seplab.hilbert import SIGMA_X, SIGMA_Z, StateVector
 
 ROOT_HALF = 1 / math.sqrt(2)
@@ -125,6 +125,11 @@ def test_chsh_needs_two_settings_per_side():
     with pytest.raises(InvalidArgument):
         chsh_sampled(quantum_coincidence_model(SINGLET, DEFAULT_ANGLES_A, DEFAULT_ANGLES_B), 0,
                      np.random.default_rng(0))
+
+
+def test_quantum_coincidence_model_needs_a_qubit_pair():
+    with pytest.raises(DimensionMismatch):
+        quantum_coincidence_model(StateVector(np.array([1, 0])), (0.0,), (0.0,))
 
 
 def test_chsh_exact_rod_dice_through_uniform_interface():

@@ -87,9 +87,8 @@ def test_schmidt_maximally_entangled_pairs(amplitudes):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_schmidt_names_non_finite_amplitudes(bad):
-    psi = two_qubit([0.5, bad, 0.5, bad])
     with pytest.raises(InvalidArgument, match=r"non-finite amplitudes at indices \[1, 3\]"):
-        schmidt(psi, QUBIT_PAIR)
+        schmidt(two_qubit([0.5, bad, 0.5, bad]), QUBIT_PAIR)
 
 
 @given(seed=st.integers(0, 10_000), da=st.integers(2, 4), db=st.integers(2, 4))

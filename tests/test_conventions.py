@@ -146,6 +146,8 @@ _THREE_LEVELS = Operator(np.diag([0.0, 1.0, 2.0]))
         # trials < 1
         lambda: meet_actual(wooden_cube("wet"), ["burn"], -5, np.random.default_rng(0)),
         lambda: meet_actual(wooden_cube(), ["burn"], 0, np.random.default_rng(0)),
+        # a non-finite state, refused when built rather than read as a nan verdict
+        lambda: no_cloning_witness(StateVector(np.array([math.nan, 0.0])), _UNIT),
     ],
 )
 def test_bad_arguments_raise_invalid_argument(call):

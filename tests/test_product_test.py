@@ -231,8 +231,8 @@ def test_epr_draws_counts_in_a_fixed_order(seed):
     ids=["nan", "inf", "repeated-name", "repeated-name-of-three", "zero-trials", "negative-trials"],
 )
 def test_epr_rejects_bad_input(amplitudes, observables, trials, message):
-    psi = StateVector(np.array(amplitudes, dtype=complex))
     with pytest.raises(InvalidArgument, match=message):
+        psi = StateVector(np.array(amplitudes, dtype=complex))
         epr_protocol(psi, observables, trials, np.random.default_rng(0))
 
 
