@@ -7,7 +7,7 @@ states and macroscopic coincidence models, Piron product tests, the
 measure-one-predict-the-other protocol, and a cloning obstruction check.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.6.1"
 
 from . import bell, bipartite, classical_models, hilbert, measurement, product_test, separation
 from .errors import SeplabError

@@ -34,7 +34,7 @@ from .bipartite import joint_measurement
 from .errors import InvalidArgument
 from .hilbert import CHSH_BOUND_MARGIN, PROBABILITY_TOL
 from .hilbert import SIGMA_X, SIGMA_Z, Operator, StateVector
-from .measurement import Pvm, pvm_from_operator
+from .measurement import SIGNS, Pvm
 
 CHSH_CONVENTION = "S = E(1,1) + E(1,2) + E(2,1) - E(2,2)"
 CLASSICAL_BOUND = 2.0
@@ -114,9 +114,12 @@ def spin_observable(theta: float) -> Operator:
     )
 
 
-def _plus_first(pvm: Pvm) -> np.ndarray:
-    """Outcome indices of a +/-1 PVM, the +1 outcome first."""
-    return np.argsort([-o.value for o in pvm.outcomes])
+def _spin_pvm(theta: float) -> Pvm:
+    """PVM of ``spin_observable(theta)`` in closed form, + first: the +1
+    eigenvector is (cos theta/2, sin theta/2), the -1 eigenvector
+    (-sin theta/2, cos theta/2)."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return Pvm(SIGNS, np.array([[c, -s], [s, c]]), (1, 1))
 
 
 def quantum_coincidence_model(
@@ -125,20 +128,16 @@ def quantum_coincidence_model(
     settings_b: Sequence[float],
 ) -> CoincidenceModel:
     """Coincidence experiment on a two-qubit state with spin settings given
-    as angles in the z-x plane; each cell's table is the joint measurement's
-    Born probability table, which raises DimensionMismatch unless psi is a
-    qubit pair."""
+    as angles in the z-x plane.  Each setting's PVM is the closed-form
+    eigenbasis of cos(theta) sigma_z + sin(theta) sigma_x (``_spin_pvm``, +1
+    first), so no eigendecomposition runs; each cell's table is the joint
+    measurement's Born probability table, which raises DimensionMismatch
+    unless psi is a qubit pair."""
     settings_a = tuple(float(t) for t in settings_a)
     settings_b = tuple(float(t) for t in settings_b)
-    pvms_a = [pvm_from_operator(spin_observable(t)) for t in settings_a]
-    pvms_b = [pvm_from_operator(spin_observable(t)) for t in settings_b]
-    tables = [
-        [
-            joint_measurement(ma, mb).table(psi)[np.ix_(_plus_first(ma), _plus_first(mb))]
-            for mb in pvms_b
-        ]
-        for ma in pvms_a
-    ]
+    pvms_a = [_spin_pvm(t) for t in settings_a]
+    pvms_b = [_spin_pvm(t) for t in settings_b]
+    tables = [[joint_measurement(ma, mb).table(psi) for mb in pvms_b] for ma in pvms_a]
     return CoincidenceModel(settings_a, settings_b, tables)
 
 

@@ -439,8 +439,6 @@ def run(config: ScenarioConfig) -> Report:
     rng = np.random.default_rng(config.seed)
     try:
         results = _RUNNERS[config.scenario](config, rng)
-    except ConfigError:
-        raise
     except SeplabError as exc:
         raise ScenarioError(f"{config.scenario}: {exc}") from exc
     return Report(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import eig2_hermitian, horodecki_chsh_bound, lhv_chsh_from_table, random_state
+from seplab import bell
 from seplab.bell import (
     DEFAULT_ANGLES_A,
     DEFAULT_ANGLES_B,
@@ -17,9 +18,11 @@ from seplab.bell import (
     quantum_coincidence_model,
     spin_observable,
 )
+from seplab.bipartite import joint_measurement
 from seplab.classical_models import rod_dice_model
 from seplab.errors import DimensionMismatch, InvalidArgument
 from seplab.hilbert import SIGMA_X, SIGMA_Z, StateVector
+from seplab.measurement import SIGNS, pvm_from_operator
 
 ROOT_HALF = 1 / math.sqrt(2)
 SINGLET = StateVector(np.array([0, ROOT_HALF, -ROOT_HALF, 0]))
@@ -42,6 +45,51 @@ def test_spin_observable_axes_and_spectrum():
     diagonal = spin_observable(math.pi / 4)
     values = [v for v, _ in eig2_hermitian(diagonal.entries)]
     assert values == pytest.approx([-1.0, 1.0], abs=1e-12)
+
+
+def _eigh_pvm(theta: float):
+    """The spin PVM through ``eigh``, with the outcome indices that put +1 first."""
+    pvm = pvm_from_operator(spin_observable(theta))
+    return pvm, np.argsort([-o.value for o in pvm.outcomes])
+
+
+ANGLES = st.one_of(
+    st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi]),
+    st.floats(-10.0, 10.0),
+)
+
+
+@given(theta=ANGLES)
+@settings(max_examples=100, deadline=None)
+def test_spin_pvm_is_the_spin_observable_eigenbasis_plus_first(theta):
+    pvm = bell._spin_pvm(theta)
+    assert pvm.outcomes == SIGNS and pvm.sizes == (1, 1)
+    reference, order = _eigh_pvm(theta)
+    for projector, k in zip(pvm.projectors, order):
+        np.testing.assert_allclose(
+            projector.entries, reference.projectors[k].entries, rtol=0, atol=1e-14
+        )
+
+
+@given(seed=st.integers(0, 2**32 - 1), angles=st.lists(ANGLES, min_size=4, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_quantum_tables_match_the_eigh_built_tables(seed, angles):
+    psi = StateVector(random_state(4, np.random.default_rng(seed)))
+    model = quantum_coincidence_model(psi, angles[:2], angles[2:])
+    side_b = [_eigh_pvm(t) for t in angles[2:]]
+    for i, (ma, ra) in enumerate(map(_eigh_pvm, angles[:2])):
+        for j, (mb, rb) in enumerate(side_b):
+            table = joint_measurement(ma, mb).table(psi)[np.ix_(ra, rb)]
+            np.testing.assert_allclose(model.tables[i, j], table, rtol=0, atol=1e-14)
+
+
+def test_quantum_coincidence_model_runs_no_eigh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called on the coincidence path")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    model = quantum_coincidence_model(SINGLET, DEFAULT_ANGLES_A, DEFAULT_ANGLES_B)
+    assert abs(chsh_exact(model).s) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
 
 
 def singlet_correlation(theta_a: float, theta_b: float) -> float:

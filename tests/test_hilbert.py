@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from oracles import (
     random_state,
 )
 from seplab import hilbert
-from seplab.errors import NotHermitian
+from seplab.errors import InvalidArgument, NotHermitian
 from seplab.hilbert import (
     SIGMA_X,
     SIGMA_Z,
@@ -152,6 +153,20 @@ def test_values_are_immutable():
         v.amplitudes[0] = 5.0
     with pytest.raises(ValueError):
         SIGMA_Z.entries[0, 0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "amplitudes, indices",
+    [
+        ([0.5, math.nan, 0.5, 0.5], [1]),
+        ([math.inf, 0.5, 0.5, math.inf], [0, 3]),
+        ([0.5, 0.5, complex(-math.inf, 0.5)], [2]),
+    ],
+)
+def test_state_vector_names_non_finite_amplitudes(amplitudes, indices):
+    message = f"non-finite amplitudes at indices {indices}"
+    with pytest.raises(InvalidArgument, match=re.escape(message)):
+        StateVector(np.array(amplitudes))
 
 
 def test_dimension_cap_enforced():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seplab.errors import DimensionMismatch, InvalidArgument, SeplabError, UnknownTest
-from seplab.hilbert import StateVector
+from seplab.hilbert import PROBABILITY_TOL, StateVector
 from seplab.measurement import Pvm
 from seplab.product_test import (
     TestableEntity,
@@ -49,6 +49,12 @@ def test_branch_distributions_must_normalize():
             TestableEntity("bad", "s", {"t": p})
     # rounding within PROBABILITY_TOL is accepted, and a near-certain test is actual
     assert is_actual(TestableEntity("edge", "s", {"t": 1.0 + 1e-13, "u": -1e-13}), "t")
+
+
+def test_a_test_at_the_probability_tolerance_is_actual():
+    edge = 1.0 - PROBABILITY_TOL
+    assert is_actual(TestableEntity("edge", "s", {"t": edge}), "t")
+    assert not is_actual(TestableEntity("below", "s", {"t": math.nextafter(edge, 0.0)}), "t")
 
 
 def test_meet_actual_intact_cube_full_trials_positive():

@@ -21,7 +21,7 @@ from seplab.hilbert import (
     tensor_op,
     tensor_vec,
 )
-from seplab.measurement import Pvm, binary_pvm, pvm_from_operator
+from seplab.measurement import SIGNS, Pvm, binary_pvm, pvm_from_operator
 from seplab.separation import (
     AertsWitness,
     construct_witness,
@@ -283,6 +283,18 @@ def test_verdict_sets_match_the_dense_table(seed, tensor):
         assert set(verdict.possible_b) == possible_b
         assert set(verdict.missing_couples) == missing
         assert verdict.separate == (not missing)
+
+
+def test_verdict_counts_a_couple_at_exactly_tol_as_missing():
+    # a uniform product state on computational-basis PVMs puts exactly 0.25 on
+    # each couple; a couple at tol is not possible
+    z = Pvm(SIGNS, np.eye(2), (1, 1))
+    joint = joint_measurement(z, z)
+    psi = StateVector(np.full(4, 0.5))
+    assert joint.table(psi).tolist() == [[0.25, 0.25], [0.25, 0.25]]
+    verdict = separation_verdict(joint, psi, tol=0.25)
+    assert not verdict.separate
+    assert set(verdict.missing_couples) == {(x, y) for x in "+-" for y in "+-"}
 
 
 @given(seed=st.integers(0, 100_000))
